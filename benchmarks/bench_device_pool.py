@@ -176,7 +176,7 @@ def test_device_pool_scaling_contract(benchmark, save_report):
         shard_lines.append(
             f"  {devices} device(s): {report.num_states} states in "
             f"{report.total_seconds * 1e6:7.1f} us across "
-            f"{len(report.shards)} shard(s) "
+            f"{len(report.rows)} shard(s) "
             f"({report.states_per_second:,.0f} states/sec)"
         )
     shard_section = "\n".join(shard_lines)

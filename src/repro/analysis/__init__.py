@@ -2,10 +2,9 @@
 
 The ROADMAP's contracts — batch-invariant env kernels, deterministic
 pricing oracles, ``ReplayBuffer`` lock discipline, the
-``seed + env_offset(w) + i`` seeding scheme, the duck-typed oracle surface
-shared by :class:`~repro.platform.FixarPlatform` and
-:class:`~repro.platform.AcceleratorPool`, and ``TrainingConfig``/CLI parity
-— were enforced only by convention and after-the-fact regression tests.
+``seed + env_offset(w) + i`` seeding scheme, and ``TrainingConfig``/CLI
+parity — were enforced only by convention and after-the-fact regression
+tests.
 This package enforces them *statically*, at diff time, with an AST-visitor
 rule framework symmetric with the scheduler's pluggable policies:
 
@@ -33,7 +32,6 @@ from .rules import (
     DeterministicOracles,
     HotPathDiscipline,
     LockDiscipline,
-    OracleSurfaceParity,
     PrecisionPolicyParity,
     Rule,
     SeedingScheme,
@@ -62,7 +60,6 @@ __all__ = [
     "DeterministicOracles",
     "LockDiscipline",
     "SeedingScheme",
-    "OracleSurfaceParity",
     "ConfigCliParity",
     "PrecisionPolicyParity",
     "HotPathDiscipline",

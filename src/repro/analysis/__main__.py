@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based invariant linter for the FIXAR reproduction: "
             "enforces the ROADMAP's durable contracts (batch-invariant env "
             "kernels, deterministic pricing oracles, ReplayBuffer lock "
-            "discipline, the blessed seeding scheme, oracle-surface parity, "
-            "config/CLI parity) at diff time"
+            "discipline, the blessed seeding scheme, config/CLI parity) "
+            "at diff time"
         ),
     )
     parser.add_argument(

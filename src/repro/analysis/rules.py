@@ -32,7 +32,6 @@ __all__ = [
     "DeterministicOracles",
     "LockDiscipline",
     "SeedingScheme",
-    "OracleSurfaceParity",
     "ConfigCliParity",
     "PrecisionPolicyParity",
     "HotPathDiscipline",
@@ -479,83 +478,7 @@ class SeedingScheme(Rule):
 
 
 # --------------------------------------------------------------------- #
-# Rule 5: the pool must mirror the platform's oracle surface
-# --------------------------------------------------------------------- #
-@register_rule
-class OracleSurfaceParity(Rule):
-    """``AcceleratorPool`` must define every oracle method of
-    ``FixarPlatform``.
-
-    The scheduler and training paths talk to whichever platform object the
-    caller passed — single accelerator or pool — through duck typing, so a
-    public ``infer_*`` / ``fleet_*`` / ``*_round_seconds`` method added to
-    ``FixarPlatform`` but not the pool silently prices multi-device runs on
-    an AttributeError away from working.  This rule statically pins the
-    surface.
-    """
-
-    rule_id = "oracle-surface-parity"
-    severity = "error"
-    description = (
-        "AcceleratorPool must statically define every public infer_*/"
-        "fleet_*/*_round_seconds method FixarPlatform defines"
-    )
-    project_scope = True
-
-    SOURCE_CLASS = "FixarPlatform"
-    MIRROR_CLASS = "AcceleratorPool"
-    SCOPE = ("repro/platform/",)
-
-    @staticmethod
-    def _oracle_surface(class_node: ast.ClassDef) -> Set[str]:
-        names = set()
-        for item in class_node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = item.name
-                if name.startswith("_"):
-                    continue
-                if (
-                    name.startswith("infer_")
-                    or name.startswith("fleet_")
-                    or name.endswith("_round_seconds")
-                ):
-                    names.add(name)
-        return names
-
-    def _find_class(self, modules, class_name: str):
-        for module in modules:
-            if not module.in_scope(*self.SCOPE):
-                continue
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef) and node.name == class_name:
-                    return module, node
-        return None, None
-
-    def check_project(self, modules: Sequence[SourceModule]) -> List[Finding]:
-        _source_module, source = self._find_class(modules, self.SOURCE_CLASS)
-        mirror_module, mirror = self._find_class(modules, self.MIRROR_CLASS)
-        if source is None or mirror is None:
-            # The rule compares the two platform classes; a scan that does
-            # not include both (e.g. linting only benchmarks/) has nothing
-            # to check.
-            return []
-        missing = sorted(
-            self._oracle_surface(source) - self._oracle_surface(mirror)
-        )
-        return [
-            self.finding(
-                mirror_module.file,
-                mirror.lineno,
-                f"{self.MIRROR_CLASS} is missing {self.SOURCE_CLASS}'s "
-                f"oracle method {name}(); the duck-typed pricing surface "
-                "must not drift between the single platform and the pool",
-            )
-            for name in missing
-        ]
-
-
-# --------------------------------------------------------------------- #
-# Rule 6: every TrainingConfig field is reachable from the CLI
+# Rule 5: every TrainingConfig field is reachable from the CLI
 # --------------------------------------------------------------------- #
 @register_rule
 class ConfigCliParity(Rule):
@@ -704,7 +627,7 @@ class ConfigCliParity(Rule):
 
 
 # --------------------------------------------------------------------- #
-# Rule 7: every PrecisionPolicy subclass is registered
+# Rule 6: every PrecisionPolicy subclass is registered
 # --------------------------------------------------------------------- #
 @register_rule
 class PrecisionPolicyParity(Rule):
@@ -798,7 +721,7 @@ class PrecisionPolicyParity(Rule):
 
 
 # --------------------------------------------------------------------- #
-# Rule 8: hot-annotated functions stay allocation-disciplined
+# Rule 7: hot-annotated functions stay allocation-disciplined
 # --------------------------------------------------------------------- #
 @register_rule
 class HotPathDiscipline(Rule):

@@ -10,20 +10,12 @@ from .energy import CampaignEstimate, estimate_training_campaign
 from .fixar_platform import (
     PAPER_BATCH_SIZES,
     BatchInferenceReport,
-    CollectionInferenceReport,
     FixarPlatform,
-    FleetGroupInference,
-    FleetInferenceReport,
     WorkloadSpec,
 )
 from .gpu_baseline import CpuGpuPlatform, GpuAcceleratorModel, GpuConfig
 from .host import HostConfig, HostModel
-from .pool import (
-    PLACEMENTS,
-    AcceleratorPool,
-    PoolInferenceReport,
-    ShardedInferenceReport,
-)
+from .pool import PLACEMENTS, AcceleratorPool
 from .metrics import (
     average_ips,
     geometric_mean,
@@ -33,16 +25,13 @@ from .metrics import (
     speedup,
 )
 from .pcie import PcieConfig, PcieModel
+from .rounds import InferenceReport
 
 __all__ = [
     "FixarPlatform",
     "BatchInferenceReport",
-    "CollectionInferenceReport",
-    "FleetGroupInference",
-    "FleetInferenceReport",
+    "InferenceReport",
     "AcceleratorPool",
-    "PoolInferenceReport",
-    "ShardedInferenceReport",
     "PLACEMENTS",
     "WorkloadSpec",
     "PAPER_BATCH_SIZES",

@@ -14,41 +14,27 @@ The model composes the host, PCIe, and accelerator timing models to produce
 the Fig. 8 throughput numbers, the Fig. 9 execution-time breakdown, and the
 Fig. 10 accelerator-only comparison.
 
-The vectorized rollout subsystem adds a batched-inference hook: every
-timing query accepts ``num_envs``, pricing one batch-of-N actor inference
-and one PCIe round trip per lock-step instead of N serial single-state
-round trips, and :meth:`FixarPlatform.infer_batch` reports the latency,
-payload, and energy of that batched inference on its own (the quantity the
-rollout engine accumulates).
-
-The pipelined training schedule extends the fleet accounting
-(:meth:`FixarPlatform.infer_collection` / ``collection_steps_per_second``)
-to full training rounds: :meth:`FixarPlatform.sequential_round_seconds`
-prices today's alternating schedule (collection *then* updates, each update
-a blocking runtime invocation) while
-:meth:`FixarPlatform.pipelined_round_seconds` prices the decoupled learner —
-the update stream overlaps collection, so the round costs
-``max(collection, update)`` instead of their sum, with the fixed runtime
-overhead amortized over the round's streamed updates.
-
-Heterogeneous fleets add the last dimension: collector workers that own
-*different benchmarks* present back-to-back batched inferences with
-**different layer dimensions** to the same single accelerator — the
-adaptive-parallelism scenario FIXAR's AAP core exists for.  The
-``fleet_*`` methods price those rounds: a fleet is a sequence of
-``(workload-or-benchmark, worker_count)`` entries, each priced under its
-own :class:`WorkloadSpec` (via :meth:`FixarPlatform.with_workload` /
-:meth:`FixarPlatform.for_benchmark`), with the accelerator serving every
-group's inferences serially and each benchmark's training passes
-(``train_pass_seconds`` differs per layer dimensions) folded into the
-pipelined update stream.
+:class:`FixarPlatform` owns the *leaf* prices of one workload on one
+accelerator: the per-timestep components, :meth:`~FixarPlatform.infer_batch`
+(one batch-of-N actor inference: one PCIe round trip, one forward pass with
+weight loads amortised over the batch) and
+:meth:`~FixarPlatform.update_round_seconds` (one learner's update stream,
+blocking or streamed).  Collection and training *rounds* are priced by the
+kernel in :mod:`repro.platform.rounds`; the platform is that kernel's
+one-device topology.  A fleet is a sequence of ``(workload-or-benchmark,
+worker_count[, width])`` entries, each resolved to a sibling platform with
+that benchmark's layer dimensions (:meth:`~FixarPlatform.with_workload` /
+:meth:`~FixarPlatform.for_benchmark`) — back-to-back inferences of
+different layer dimensions on one accelerator, the adaptive-parallelism
+scenario FIXAR's AAP core exists for — and a homogeneous ``num_workers x
+num_envs`` run is the one-entry fleet of the platform itself.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..accelerator import AcceleratorConfig, PowerModel, TimingModel
 from ..envs.registry import benchmark_dimensions
@@ -56,14 +42,12 @@ from ..nn.network import DEFAULT_HIDDEN_SIZES
 from .host import HostModel
 from .metrics import ips_per_watt
 from .pcie import PcieModel
+from .rounds import Entry, InferenceReport, Round
 
 __all__ = [
     "WorkloadSpec",
     "FixarPlatform",
     "BatchInferenceReport",
-    "CollectionInferenceReport",
-    "FleetGroupInference",
-    "FleetInferenceReport",
     "PAPER_BATCH_SIZES",
 ]
 
@@ -80,6 +64,21 @@ def _normalize_precision_state(state: Optional[Dict]) -> Optional[Dict]:
     if default <= 0 or any(bits <= 0 for bits in layers.values()):
         raise ValueError(f"precision_state bitwidths must be positive, got {state!r}")
     return {"default": default, "layers": layers}
+
+
+def _positive_int(value, what: str, entry) -> int:
+    """``value`` as a positive integer, or a ValueError naming the fleet entry."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"fleet {what} must be integers, got {value!r} for entry {entry!r}"
+        ) from None
+    if value <= 0:
+        raise ValueError(
+            f"fleet {what} must be positive, got {value} for entry {entry!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -156,148 +155,6 @@ class BatchInferenceReport:
     @property
     def states_per_second(self) -> float:
         """Inference throughput of the batch."""
-        return self.num_states / self.total_seconds
-
-
-@dataclass(frozen=True)
-class CollectionInferenceReport:
-    """Aggregated inference cost of one multi-worker collection round.
-
-    ``num_workers`` collection workers each present one batch-of-``num_envs``
-    actor inference per lock-step; the single accelerator serves those
-    batches back to back, so a full fleet round costs ``num_workers``
-    sequential :meth:`FixarPlatform.infer_batch` passes.  This mirrors the
-    accounting the :class:`~repro.rl.workers.AsyncCollector` aggregates from
-    its per-worker engines (each engine prices its own lock-step with
-    ``infer_batch(num_envs)``).
-    """
-
-    #: Workers in the fleet.
-    num_workers: int
-    #: Cost of one worker's batched inference.
-    per_worker: BatchInferenceReport
-
-    @property
-    def num_states(self) -> int:
-        """States inferred per fleet round."""
-        return self.num_workers * self.per_worker.num_states
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end latency of serving the whole fleet's round."""
-        return self.num_workers * self.per_worker.total_seconds
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes crossing PCIe per fleet round (one round trip per worker)."""
-        return self.num_workers * self.per_worker.pcie_bytes
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy per fleet round."""
-        return self.num_workers * self.per_worker.energy_joules
-
-    @property
-    def states_per_second(self) -> float:
-        """Inference throughput across the fleet."""
-        return self.num_states / self.total_seconds
-
-
-@dataclass(frozen=True)
-class FleetGroupInference:
-    """One benchmark group's slice of a fleet inference round.
-
-    ``report`` prices a single lock-step of the group (``num_workers``
-    batched inferences); ``weight`` is the group's lock-steps per scheduled
-    round, so a throughput-weighted round's report describes the round the
-    scheduler actually runs instead of the round-robin one.  The weighted
-    accessors scale the lock-step costs accordingly (``weight == 1``
-    reproduces the unweighted accounting exactly).
-    """
-
-    #: Benchmark display name.
-    benchmark: str
-    #: Cost of one of this group's lock-steps.
-    report: CollectionInferenceReport
-    #: Lock-steps this group runs per scheduled round.
-    weight: int = 1
-
-    @property
-    def num_states(self) -> int:
-        """States this group infers per scheduled round."""
-        return self.weight * self.report.num_states
-
-    @property
-    def total_seconds(self) -> float:
-        """Accelerator-serial latency of this group's round slice."""
-        return self.weight * self.report.total_seconds
-
-    @property
-    def fpga_seconds(self) -> float:
-        """Pure FPGA time of this group's round slice."""
-        return self.weight * (
-            self.report.num_workers * self.report.per_worker.fpga_seconds
-        )
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes this group moves over PCIe per scheduled round."""
-        return self.weight * self.report.pcie_bytes
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy of this group's round slice."""
-        return self.weight * self.report.energy_joules
-
-
-@dataclass(frozen=True)
-class FleetInferenceReport:
-    """Aggregated inference cost of one *heterogeneous* fleet round.
-
-    Produced by :meth:`FixarPlatform.infer_fleet`: each benchmark group's
-    workers present their batched inferences under their own layer
-    dimensions, and the single accelerator serves every group back to back
-    — so the totals are sums of per-group :class:`FleetGroupInference`
-    costs (each a :class:`CollectionInferenceReport` scaled by the group's
-    round weight), not one report scaled by a worker count.
-    """
-
-    #: Per-benchmark group costs, in fleet order.
-    groups: Tuple[FleetGroupInference, ...]
-
-    @property
-    def num_workers(self) -> int:
-        """Workers across the whole fleet (independent of round weights)."""
-        return sum(group.report.num_workers for group in self.groups)
-
-    @property
-    def num_states(self) -> int:
-        """States inferred per fleet round."""
-        return sum(group.num_states for group in self.groups)
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end latency of serving every group's round serially."""
-        return sum(group.total_seconds for group in self.groups)
-
-    @property
-    def fpga_seconds(self) -> float:
-        """Pure FPGA time of the fleet's inferences (update-stream term)."""
-        return sum(group.fpga_seconds for group in self.groups)
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes crossing PCIe per fleet round."""
-        return sum(group.pcie_bytes for group in self.groups)
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy per fleet round."""
-        return sum(group.energy_joules for group in self.groups)
-
-    @property
-    def states_per_second(self) -> float:
-        """Inference throughput across the heterogeneous fleet."""
         return self.num_states / self.total_seconds
 
 
@@ -521,63 +378,15 @@ class FixarPlatform:
         A flush is exactly one :meth:`infer_batch` pass — the N coalesced
         states ride a single PCIe round trip and one amortised forward
         pass — so the serving oracle is that report's end-to-end latency.
-        Part of the ``*_round_seconds`` surface the ``oracle-surface-
-        parity`` lint rule pins onto :class:`~repro.platform.
-        AcceleratorPool`, whose version shards the flush over its
-        collection devices.
         """
         return self.infer_batch(num_requests).total_seconds
-
-    def infer_collection(
-        self, num_envs: int, num_workers: int = 1
-    ) -> CollectionInferenceReport:
-        """Price one collection round of a ``num_workers``-worker fleet.
-
-        Each worker's lock-step batch of ``num_envs`` states is one
-        :meth:`infer_batch` pass; the accelerator serves the fleet's batches
-        sequentially, so the round costs ``num_workers`` such passes — the
-        quantity the async collection coordinator aggregates.
-        """
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        return CollectionInferenceReport(
-            num_workers=num_workers, per_worker=self.infer_batch(num_envs)
-        )
-
-    def collection_round_seconds(self, num_envs: int, num_workers: int = 1) -> float:
-        """Modelled time of one fleet collection round (``num_workers * num_envs`` steps).
-
-        Each worker alternates its host phase (stepping ``num_envs``
-        environments on its own Xeon core) with its accelerator phase (one
-        batched inference), so no worker can cycle faster than its serial
-        ``host + inference`` chain.  The fleet pipelines across workers —
-        while one batch is in flight the others run their host phases — but
-        the single accelerator serves the ``num_workers`` batches back to
-        back, so the steady-state round is whichever bound saturates first:
-        ``max(host + inference, num_workers * inference)``.
-        """
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        host = self.host.collection_step_seconds(self.workload.benchmark, num_envs)
-        inference = self.infer_batch(num_envs).total_seconds
-        return max(host + inference, num_workers * inference)
-
-    def collection_steps_per_second(self, num_envs: int, num_workers: int = 1) -> float:
-        """Modelled collection throughput of a ``num_workers``-worker fleet."""
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        return (
-            num_workers
-            * num_envs
-            / self.collection_round_seconds(num_envs, num_workers)
-        )
 
     def env_steps_per_second(self, batch_size: int, num_envs: int = 1) -> float:
         """Environment steps collected per second with N lock-stepped envs."""
         return num_envs / self.timestep_seconds(batch_size, num_envs)
 
     # ------------------------------------------------------------------ #
-    # Pipelined training schedule (overlapped collection + updates)
+    # One learner's update stream
     # ------------------------------------------------------------------ #
     def train_pass_seconds(self, batch_size: int) -> float:
         """FPGA time of one agent update (training passes only, no rollout
@@ -646,86 +455,8 @@ class FixarPlatform:
         )
         return self.pcie.invocation_overhead_seconds + updates * per_update
 
-    def _updates_per_round(self, num_envs: int, num_workers: int, updates_per_round):
-        """Default update quota of one round: one per collected env step."""
-        if updates_per_round is None:
-            return num_envs * num_workers
-        return updates_per_round
-
-    def sequential_round_seconds(
-        self,
-        num_envs: int,
-        num_workers: int = 1,
-        batch_size: int = 64,
-        updates_per_round: Optional[int] = None,
-    ) -> float:
-        """Modelled time of one round of today's sequential train() schedule:
-        the fleet collects ``num_workers * num_envs`` steps, *then* the
-        learner runs its updates — collection and updates strictly
-        alternate, so the round costs their sum.
-        """
-        updates = self._updates_per_round(num_envs, num_workers, updates_per_round)
-        return self.collection_round_seconds(
-            num_envs, num_workers
-        ) + self.update_round_seconds(batch_size, updates, pipelined=False)
-
-    def pipelined_round_seconds(
-        self,
-        num_envs: int,
-        num_workers: int = 1,
-        batch_size: int = 64,
-        updates_per_round: Optional[int] = None,
-    ) -> float:
-        """Modelled time of one *pipelined* training round.
-
-        While the fleet collects round ``k+1``, the learner streams round
-        ``k``'s updates, so the steady-state round is bounded by whichever
-        phase is longer — ``max(collection, update)`` instead of their sum.
-        The single accelerator still serves both phases: the fleet's
-        ``num_workers`` batched rollout inferences interleave with the
-        update stream's training passes, so their FPGA time is added to the
-        update phase before taking the max.
-        """
-        updates = self._updates_per_round(num_envs, num_workers, updates_per_round)
-        collection = self.collection_round_seconds(num_envs, num_workers)
-        update = self.update_round_seconds(batch_size, updates, pipelined=True)
-        inference_fpga = num_workers * self.infer_batch(num_envs).fpga_seconds
-        return max(collection, update + inference_fpga)
-
-    def training_steps_per_second(
-        self,
-        num_envs: int,
-        num_workers: int = 1,
-        batch_size: int = 64,
-        updates_per_round: Optional[int] = None,
-        pipelined: bool = False,
-    ) -> float:
-        """Modelled end-to-end training throughput (environment steps/sec)."""
-        round_seconds = (
-            self.pipelined_round_seconds(num_envs, num_workers, batch_size, updates_per_round)
-            if pipelined
-            else self.sequential_round_seconds(
-                num_envs, num_workers, batch_size, updates_per_round
-            )
-        )
-        return num_workers * num_envs / round_seconds
-
-    def pipelined_speedup(
-        self,
-        num_envs: int,
-        num_workers: int = 1,
-        batch_size: int = 64,
-        updates_per_round: Optional[int] = None,
-    ) -> float:
-        """Steps/sec of the pipelined schedule over the sequential one."""
-        return self.training_steps_per_second(
-            num_envs, num_workers, batch_size, updates_per_round, pipelined=True
-        ) / self.training_steps_per_second(
-            num_envs, num_workers, batch_size, updates_per_round, pipelined=False
-        )
-
     # ------------------------------------------------------------------ #
-    # Heterogeneous fleets (mixed layer dimensions on one accelerator)
+    # Sibling platforms (other layer dimensions on the same hardware)
     # ------------------------------------------------------------------ #
     def with_workload(self, workload: WorkloadSpec) -> "FixarPlatform":
         """A sibling platform pricing another workload on the same hardware.
@@ -760,12 +491,15 @@ class FixarPlatform:
             WorkloadSpec.from_benchmark(benchmark, hidden_sizes=tuple(hidden_sizes))
         )
 
+    # ------------------------------------------------------------------ #
+    # Collection and training rounds (adapters over repro.platform.rounds)
+    # ------------------------------------------------------------------ #
     def _resolve_fleet(
         self,
         fleet: Sequence[Sequence],
         num_envs: Optional[int] = None,
         weights: Optional[Sequence[int]] = None,
-    ) -> List[Tuple["FixarPlatform", int, int, int]]:
+    ) -> List[Entry]:
         """Per-group sibling platforms for a fleet's pricing entries.
 
         Each entry is ``(workload, count)`` or ``(workload, count, width)``
@@ -774,21 +508,21 @@ class FixarPlatform:
         (``None`` or omitted falls back to the ``num_envs`` argument, the
         uniform-width fleet).  ``weights`` optionally gives each group's
         lock-steps per round (the throughput-weighted schedule); the default
-        is one each.  Returns ``(platform, count, width, weight)`` tuples.
+        is one each.  Counts, widths and weights must be positive integers
+        (``operator.index``): the scheduler refuses 2.9 lock-steps per
+        round, and the pricing side must agree instead of silently pricing
+        a fractional worker, batch or round.
         """
         fleet = [tuple(entry) for entry in fleet]
         if not fleet:
             raise ValueError("fleet must contain at least one (workload, count) entry")
-        if weights is None:
-            weights = [1] * len(fleet)
-        else:
-            weights = list(weights)
-            if len(weights) != len(fleet):
-                raise ValueError(
-                    f"weights must match the fleet's {len(fleet)} entries, "
-                    f"got {len(weights)}"
-                )
-        resolved: List[Tuple[FixarPlatform, int, int, int]] = []
+        weights = [1] * len(fleet) if weights is None else list(weights)
+        if len(weights) != len(fleet):
+            raise ValueError(
+                f"weights must match the fleet's {len(fleet)} entries, "
+                f"got {len(weights)}"
+            )
+        resolved = []
         for entry, weight in zip(fleet, weights):
             if len(entry) == 2:
                 workload, count = entry
@@ -799,63 +533,125 @@ class FixarPlatform:
                 raise ValueError(
                     f"fleet entries must be (workload, count[, width]), got {entry!r}"
                 )
-            if count <= 0:
-                raise ValueError(f"fleet worker counts must be positive, got {count}")
-            if width is None:
-                width = num_envs
-            if width is None or width <= 0:
-                raise ValueError(
-                    f"fleet lock-step widths must be positive, got {width}"
-                )
-            try:
-                # operator.index rejects non-integral weights: the scheduler
-                # already refuses 2.9 lock-steps per round, and the pricing
-                # side must agree with it instead of silently accepting a
-                # fractional round.
-                weight = operator.index(weight)
-            except TypeError:
-                raise ValueError(
-                    f"fleet round weights must be integers, got {weight!r}"
-                ) from None
-            if weight <= 0:
-                raise ValueError(f"fleet round weights must be positive, got {weight}")
+            count = _positive_int(count, "worker counts", entry)
+            width = _positive_int(
+                num_envs if width is None else width, "lock-step widths", entry
+            )
+            weight = _positive_int(weight, "round weights", entry)
             if isinstance(workload, WorkloadSpec):
                 platform = self.with_workload(workload)
             else:
                 platform = self.for_benchmark(str(workload))
-            resolved.append((platform, count, width, weight))
+            resolved.append(Entry(platform, count, width, weight))
         return resolved
+
+    def _fleet_round(self, fleet, num_envs, weights=None) -> Round:
+        """The fleet's round on this single accelerator."""
+        return Round(tuple(self._resolve_fleet(fleet, num_envs, weights)))
+
+    def _homogeneous_round(
+        self, num_envs: int, num_workers: int, updates_per_round: Optional[int] = None
+    ) -> Round:
+        """The one-entry round of ``num_workers`` workers of this workload."""
+        if num_workers <= 0:
+            raise ValueError(f"num_workers must be positive, got {num_workers}")
+        return Round((Entry(self, num_workers, num_envs, updates=updates_per_round),))
+
+    def infer_collection(self, num_envs: int, num_workers: int = 1) -> InferenceReport:
+        """Price the inferences of one ``num_workers``-worker collection round.
+
+        Each worker's lock-step batch of ``num_envs`` states is one
+        :meth:`infer_batch` pass and the accelerator serves the fleet's
+        batches sequentially — the quantity the async collection
+        coordinator aggregates from its per-worker engines.
+        """
+        return self._homogeneous_round(num_envs, num_workers).inference_report()
+
+    def collection_round_seconds(self, num_envs: int, num_workers: int = 1) -> float:
+        """Modelled time of one fleet collection round
+        (``num_workers * num_envs`` steps): ``max(host + inference,
+        num_workers * inference)``, see :meth:`Round.collection_seconds
+        <repro.platform.rounds.Round.collection_seconds>`."""
+        return self._homogeneous_round(num_envs, num_workers).collection_seconds()
+
+    def collection_steps_per_second(self, num_envs: int, num_workers: int = 1) -> float:
+        """Modelled collection throughput of a ``num_workers``-worker fleet."""
+        return self._homogeneous_round(num_envs, num_workers).collection_steps_per_second()
+
+    def sequential_round_seconds(
+        self,
+        num_envs: int,
+        num_workers: int = 1,
+        batch_size: int = 64,
+        updates_per_round: Optional[int] = None,
+    ) -> float:
+        """Modelled time of one round of the sequential train() schedule:
+        the fleet collects ``num_workers * num_envs`` steps, *then* the
+        learner runs ``updates_per_round`` blocking updates (default one
+        per collected step), so the round costs their sum.
+        """
+        return self._homogeneous_round(
+            num_envs, num_workers, updates_per_round
+        ).sequential_seconds(batch_size)
+
+    def pipelined_round_seconds(
+        self,
+        num_envs: int,
+        num_workers: int = 1,
+        batch_size: int = 64,
+        updates_per_round: Optional[int] = None,
+    ) -> float:
+        """Modelled time of one *pipelined* training round.
+
+        While the fleet collects round ``k+1`` the learner streams round
+        ``k``'s updates, so the round is ``max(collection, update)``; the
+        single accelerator serves both, so the rollout inferences' FPGA
+        time joins the update stream.
+        """
+        return self._homogeneous_round(
+            num_envs, num_workers, updates_per_round
+        ).pipelined_seconds(batch_size)
+
+    def training_steps_per_second(
+        self,
+        num_envs: int,
+        num_workers: int = 1,
+        batch_size: int = 64,
+        updates_per_round: Optional[int] = None,
+        pipelined: bool = False,
+    ) -> float:
+        """Modelled end-to-end training throughput (environment steps/sec)."""
+        return self._homogeneous_round(
+            num_envs, num_workers, updates_per_round
+        ).training_steps_per_second(batch_size, pipelined)
+
+    def pipelined_speedup(
+        self,
+        num_envs: int,
+        num_workers: int = 1,
+        batch_size: int = 64,
+        updates_per_round: Optional[int] = None,
+    ) -> float:
+        """Steps/sec of the pipelined schedule over the sequential one."""
+        return self._homogeneous_round(
+            num_envs, num_workers, updates_per_round
+        ).pipelined_speedup(batch_size)
 
     def infer_fleet(
         self,
         fleet: Sequence[Sequence],
         num_envs: int,
         weights: Optional[Sequence[int]] = None,
-    ) -> FleetInferenceReport:
-        """Price one collection round of a heterogeneous fleet.
+    ) -> InferenceReport:
+        """Price the inferences of one heterogeneous-fleet collection round.
 
-        Each entry ``(workload, count)`` — or ``(workload, count, width)``
-        for a mixed-width fleet — contributes ``count`` workers whose
-        batch-of-``width`` inferences are priced under *that* workload's
-        layer dimensions (``width`` defaults to ``num_envs``); the single
-        accelerator serves all groups back to back, so the fleet round is
-        the serial concatenation of the per-group :meth:`infer_collection`
-        rounds.  ``weights`` gives each group's lock-steps per round (the
-        throughput-weighted schedule) and is stamped on each
-        :class:`FleetGroupInference`, so the report describes the round the
-        scheduler actually runs.
+        Each entry contributes ``count`` workers whose batch-of-``width``
+        inferences are priced under *that* workload's layer dimensions, and
+        the single accelerator serves all groups back to back.  ``weights``
+        (lock-steps per round, the throughput-weighted schedule) is stamped
+        on each row, so the report describes the round the scheduler runs.
         """
-        groups = tuple(
-            FleetGroupInference(
-                benchmark=platform.workload.benchmark,
-                report=platform.infer_collection(width, count),
-                weight=weight,
-            )
-            for platform, count, width, weight in self._resolve_fleet(
-                fleet, num_envs, weights
-            )
-        )
-        return FleetInferenceReport(groups=groups)
+        return self._fleet_round(fleet, num_envs, weights).inference_report()
 
     def fleet_collection_round_seconds(
         self,
@@ -865,44 +661,13 @@ class FixarPlatform:
     ) -> float:
         """Modelled time of one heterogeneous-fleet collection round.
 
-        The homogeneous bound structure of :meth:`collection_round_seconds`
-        generalizes per benchmark: every worker still alternates its own
-        host phase with its own batched inference, so no worker cycles
-        faster than its serial ``host_b + inference_b`` chain (the slowest
-        *benchmark* bounds the fleet — each worker runs on its own Xeon
-        core), while the single accelerator serves all groups' batches back
-        to back, paying each group's inference latency under its own layer
-        dimensions and lock-step width.  The steady-state round is whichever
-        bound saturates first.
-
         ``weights`` prices a *throughput-weighted* round: group ``g`` runs
-        ``weights[g]`` lock-steps per round, so its workers' serial chains
-        stretch by that factor and the accelerator serves that many more of
-        its batches — the cost oracle of
+        ``weights[g]`` lock-steps per round — the cost oracle of
         :class:`repro.rl.scheduler.ThroughputWeightedPolicy`, which fills
         the slack under the slowest benchmark's chain with extra cheap
         lock-steps.
         """
-        return self._collection_round_from(self._resolve_fleet(fleet, num_envs, weights))
-
-    @staticmethod
-    def _collection_round_from(resolved) -> float:
-        """Collection-round time of an already-resolved fleet (no re-resolve)."""
-        chains = []
-        accelerator = 0.0
-        for platform, count, width, weight in resolved:
-            inference = platform.infer_batch(width).total_seconds
-            host = platform.host.collection_step_seconds(
-                platform.workload.benchmark, width
-            )
-            chains.append(weight * (host + inference))
-            accelerator += count * weight * inference
-        return max(max(chains), accelerator)
-
-    @staticmethod
-    def _round_steps_from(resolved) -> int:
-        """Environment steps of one round of an already-resolved fleet."""
-        return sum(count * weight * width for _p, count, width, weight in resolved)
+        return self._fleet_round(fleet, num_envs, weights).collection_seconds()
 
     def fleet_collection_steps_per_second(
         self,
@@ -911,8 +676,7 @@ class FixarPlatform:
         weights: Optional[Sequence[int]] = None,
     ) -> float:
         """Modelled collection throughput of a heterogeneous fleet."""
-        resolved = self._resolve_fleet(fleet, num_envs, weights)
-        return self._round_steps_from(resolved) / self._collection_round_from(resolved)
+        return self._fleet_round(fleet, num_envs, weights).collection_steps_per_second()
 
     def fleet_sequential_round_seconds(
         self,
@@ -921,22 +685,11 @@ class FixarPlatform:
         batch_size: int = 64,
         weights: Optional[Sequence[int]] = None,
     ) -> float:
-        """Modelled time of one *sequential* heterogeneous training round.
-
-        The fleet collects, then each benchmark's learner runs its updates
-        (one per environment step its workers collected) as blocking
-        runtime invocations priced under that benchmark's layer dimensions
-        — collection and the per-benchmark update phases strictly
-        alternate, so the round costs their sum.
-        """
-        resolved = self._resolve_fleet(fleet, num_envs, weights)
-        update_total = sum(
-            platform.update_round_seconds(
-                batch_size, count * weight * width, pipelined=False
-            )
-            for platform, count, width, weight in resolved
-        )
-        return self._collection_round_from(resolved) + update_total
+        """Modelled time of one *sequential* heterogeneous training round:
+        the fleet collects, then each benchmark's learner runs one blocking
+        update per step its workers collected, priced under that
+        benchmark's layer dimensions."""
+        return self._fleet_round(fleet, num_envs, weights).sequential_seconds(batch_size)
 
     def fleet_pipelined_round_seconds(
         self,
@@ -945,30 +698,11 @@ class FixarPlatform:
         batch_size: int = 64,
         weights: Optional[Sequence[int]] = None,
     ) -> float:
-        """Modelled time of one *pipelined* heterogeneous training round.
-
-        The learners' update streams overlap the fleet's collection, so the
-        round is ``max(collection, update)``.  The update side runs one
-        streamed submission per benchmark back to back — each pays its own
-        invocation overhead once and its per-update marginal cost under its
-        own layer dimensions (``train_pass_seconds`` differs per benchmark)
-        — and the fleet's inference FPGA time (every group priced under its
-        own workload, width, and round weight) is added to the update
-        stream because the single accelerator serves both sides.
-        """
-        resolved = self._resolve_fleet(fleet, num_envs, weights)
-        collection = self._collection_round_from(resolved)
-        update_total = sum(
-            platform.update_round_seconds(
-                batch_size, count * weight * width, pipelined=True
-            )
-            for platform, count, width, weight in resolved
-        )
-        inference_fpga = sum(
-            count * weight * platform.infer_batch(width).fpga_seconds
-            for platform, count, width, weight in resolved
-        )
-        return max(collection, update_total + inference_fpga)
+        """Modelled time of one *pipelined* heterogeneous training round:
+        one streamed update submission per benchmark back to back
+        (``train_pass_seconds`` differs per benchmark), overlapping the
+        fleet's collection and contending with its rollout inferences."""
+        return self._fleet_round(fleet, num_envs, weights).pipelined_seconds(batch_size)
 
     def fleet_training_steps_per_second(
         self,
@@ -979,20 +713,9 @@ class FixarPlatform:
         weights: Optional[Sequence[int]] = None,
     ) -> float:
         """Modelled end-to-end training throughput of a heterogeneous fleet."""
-        round_seconds = (
-            self.fleet_pipelined_round_seconds(fleet, num_envs, batch_size, weights)
-            if pipelined
-            else self.fleet_sequential_round_seconds(
-                fleet, num_envs, batch_size, weights
-            )
+        return self._fleet_round(fleet, num_envs, weights).training_steps_per_second(
+            batch_size, pipelined
         )
-        # The round call resolved (and validated) the fleet; resolve once
-        # more only for the step sum — sibling platforms are lightweight,
-        # but avoid a third/fourth resolution inside nested round calls.
-        round_steps = self._round_steps_from(
-            self._resolve_fleet(fleet, num_envs, weights)
-        )
-        return round_steps / round_seconds
 
     def fleet_pipelined_speedup(
         self,
@@ -1002,11 +725,7 @@ class FixarPlatform:
         weights: Optional[Sequence[int]] = None,
     ) -> float:
         """Steps/sec of the pipelined fleet schedule over the sequential one."""
-        return self.fleet_training_steps_per_second(
-            fleet, num_envs, batch_size, pipelined=True, weights=weights
-        ) / self.fleet_training_steps_per_second(
-            fleet, num_envs, batch_size, pipelined=False, weights=weights
-        )
+        return self._fleet_round(fleet, num_envs, weights).pipelined_speedup(batch_size)
 
     # ------------------------------------------------------------------ #
     # Throughput and efficiency (Figs. 8 and 10)

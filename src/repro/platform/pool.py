@@ -1,26 +1,29 @@
 """Multi-accelerator device pools: N FIXAR accelerators behind one seam.
 
-Every pricing path so far serialized the whole fleet onto a *single*
-accelerator — the main blocker on scaling the adaptive-parallelism story
-past one FPGA.  An :class:`AcceleratorPool` holds ``num_devices`` identical
-:class:`~repro.platform.FixarPlatform` devices behind the same duck-typed
-oracle surface the single platform exposes (``infer_batch`` plus the
-``fleet_*`` pricing pair), so the rollout engine and the round scheduler
-never learn about devices — only the pricing joints do.
+An :class:`AcceleratorPool` holds ``num_devices`` identical
+:class:`~repro.platform.FixarPlatform` devices and exposes the pricing
+joints the training and serving stacks are duck-typed against
+(``infer_batch`` / ``serving_round_seconds``, ``infer_fleet``, the
+``fleet_*`` oracles and ``with_precision_state``), so the rollout engine
+and the round scheduler never learn about devices.  The pool prices
+nothing itself: it resolves *which device serves which group* and hands
+the round to the kernel in :mod:`repro.platform.rounds` under its own
+topology — the single platform is the same kernel's one-device case, so a
+1-device colocated pool is bit-exact with it by construction.
 
-Three placement/assignment dimensions are modelled:
+What the pool decides:
 
 * **Per-benchmark device affinity** — each fleet group's workers present
   their batched inferences to one device of the pool (round-robin over the
   collection devices by default, or an explicit ``{benchmark: device}``
   mapping).  Devices serve their assigned groups' batches serially but run
   in *parallel* with each other, so the accelerator-serial bound of a
-  collection round becomes a per-device maximum instead of one global sum.
+  collection round is a per-device maximum instead of one global sum.
 * **Sharded batches** — :meth:`AcceleratorPool.infer_batch` splits one wide
   batch across the collection devices (near-equal shards, conserving the
-  state count) and returns a :class:`ShardedInferenceReport` whose latency
-  is the slowest shard: the homogeneous wide-group path of ``train()``
-  shards transparently through the engine's existing ``infer_batch`` joint.
+  state count); the report's latency is the slowest shard, so the
+  homogeneous wide-group path of ``train()`` and every serving flush shard
+  transparently through the existing ``infer_batch`` joint.
 * **Placement** — ``"colocated"`` runs each group's update stream on the
   device its collection is assigned to (streams on different devices
   overlap; each stream still contends with its own device's rollout
@@ -28,141 +31,21 @@ Three placement/assignment dimensions are modelled:
   update streams: collection spreads over the remaining devices and the
   update side pays no rollout-inference contention, at the price of one
   fewer collection device.
-
-Determinism pin (the extended oracle chain): a 1-device colocated pool
-accumulates its per-device sums in exactly the order the single platform's
-``fleet_*`` methods do, so every pool price — and a training run that uses
-the pool as its platform hook — is **bit-exact** with the single-platform
-path.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .fixar_platform import (
-    BatchInferenceReport,
-    FixarPlatform,
-    FleetGroupInference,
-    FleetInferenceReport,
-)
+from .fixar_platform import FixarPlatform
+from .rounds import Entry, InferenceReport, Round
 
-__all__ = [
-    "PLACEMENTS",
-    "AcceleratorPool",
-    "PoolInferenceReport",
-    "ShardedInferenceReport",
-]
+__all__ = ["PLACEMENTS", "AcceleratorPool"]
 
 #: Update-stream placements the pool models.
 PLACEMENTS = ("colocated", "disaggregated")
-
-
-@dataclass(frozen=True)
-class ShardedInferenceReport:
-    """Cost of one batch inference sharded across a pool's devices.
-
-    Each shard is a ``(device index, per-shard report)`` pair; the devices
-    run their shards concurrently, so the pool-level latency is the slowest
-    shard while payload and energy are resource totals across shards.  With
-    a single shard every accessor reduces to the underlying
-    :class:`~repro.platform.BatchInferenceReport` exactly — the 1-device
-    bit-exactness pin of the engine's ``infer_batch`` joint.
-    """
-
-    #: Per-device shards, ordered by device index: (device, report).
-    shards: Tuple[Tuple[int, BatchInferenceReport], ...]
-
-    @property
-    def num_states(self) -> int:
-        """States inferred across all shards (conserved by construction)."""
-        return sum(report.num_states for _device, report in self.shards)
-
-    @property
-    def fpga_seconds(self) -> float:
-        """FPGA time of the sharded pass (slowest device bounds it)."""
-        return max(report.fpga_seconds for _device, report in self.shards)
-
-    @property
-    def runtime_seconds(self) -> float:
-        """Runtime/PCIe time of the sharded pass (slowest device)."""
-        return max(report.runtime_seconds for _device, report in self.shards)
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end latency of the sharded inference (slowest shard)."""
-        return max(report.total_seconds for _device, report in self.shards)
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes crossing PCIe across all devices."""
-        return sum(report.pcie_bytes for _device, report in self.shards)
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy across all devices."""
-        return sum(report.energy_joules for _device, report in self.shards)
-
-    @property
-    def states_per_second(self) -> float:
-        """Inference throughput of the sharded batch."""
-        return self.num_states / self.total_seconds
-
-
-@dataclass(frozen=True)
-class PoolInferenceReport:
-    """Per-device breakdown of one fleet inference round on a pool.
-
-    Each entry pairs a collection device with the
-    :class:`~repro.platform.FleetInferenceReport` of the groups assigned to
-    it; devices serve their groups serially but run in parallel, so the
-    pool round is the slowest device's round while payload and energy are
-    totals.  A 1-device pool's single entry is exactly the single-platform
-    fleet report.
-    """
-
-    #: Update-stream placement the pool was priced under.
-    placement: str
-    #: Per-device fleet reports: (device index, report), devices with
-    #: assigned groups only.
-    per_device: Tuple[Tuple[int, FleetInferenceReport], ...]
-
-    @property
-    def num_workers(self) -> int:
-        """Workers across the whole pool."""
-        return sum(report.num_workers for _device, report in self.per_device)
-
-    @property
-    def num_states(self) -> int:
-        """States inferred per pool round."""
-        return sum(report.num_states for _device, report in self.per_device)
-
-    @property
-    def round_seconds(self) -> float:
-        """Latency of the pool round (slowest device's serial round)."""
-        return max(report.total_seconds for _device, report in self.per_device)
-
-    @property
-    def total_seconds(self) -> float:
-        """Alias of :attr:`round_seconds` (single-platform report parity)."""
-        return self.round_seconds
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes crossing PCIe per pool round, across devices."""
-        return sum(report.pcie_bytes for _device, report in self.per_device)
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy per pool round, across devices."""
-        return sum(report.energy_joules for _device, report in self.per_device)
-
-    @property
-    def states_per_second(self) -> float:
-        """Inference throughput across the pool."""
-        return self.num_states / self.round_seconds
 
 
 class AcceleratorPool:
@@ -244,12 +127,8 @@ class AcceleratorPool:
         self, assignment: Optional[Mapping[str, int]]
     ) -> "AcceleratorPool":
         """A pool over the *same* devices with another default affinity."""
-        sibling = AcceleratorPool.__new__(AcceleratorPool)
-        sibling.template = self.template
-        sibling.num_devices = self.num_devices
-        sibling.placement = self.placement
-        sibling.devices = self.devices
-        sibling.assignment = sibling._normalize_assignment(assignment)
+        sibling = copy.copy(self)
+        sibling.assignment = self._normalize_assignment(assignment)
         return sibling
 
     def with_precision_state(self, state) -> "AcceleratorPool":
@@ -360,210 +239,57 @@ class AcceleratorPool:
                 shards.append((device, width))
         return shards
 
-    def infer_batch(self, num_states: int) -> ShardedInferenceReport:
+    def _round(self, entries) -> Round:
+        """A resolved fleet's round under this pool's topology."""
+        return Round(tuple(entries), self.collection_devices, self.update_device)
+
+    def infer_batch(self, num_states: int) -> InferenceReport:
         """Price one batch-of-N inference sharded over the collection devices.
 
         Drop-in for :meth:`FixarPlatform.infer_batch` at the rollout
-        engine's pricing joint: the shards run concurrently, so
-        ``total_seconds`` is the slowest shard's latency.  A 1-device pool
-        reproduces the single platform's report values exactly.
+        engine's pricing joint: one row per shard, and the shards run
+        concurrently, so ``total_seconds`` is the slowest shard's latency.
+        A 1-device pool reproduces the single platform's report values
+        exactly.
         """
-        return ShardedInferenceReport(
-            shards=tuple(
-                (device, self.devices[device].infer_batch(width))
-                for device, width in self.shard_widths(num_states)
-            )
-        )
+        return self._round(
+            Entry(self.devices[device], 1, width, device=device)
+            for device, width in self.shard_widths(num_states)
+        ).inference_report()
 
     def serving_round_seconds(self, num_requests: int) -> float:
-        """Modelled time to serve one dynamic-batcher flush on the pool.
-
-        The flush shards near-equally over the collection devices
-        (:meth:`shard_widths`, state-count conserving) and completes with
-        the slowest shard — :meth:`infer_batch`'s sharded latency.  A
-        1-device pool prices exactly like the single platform's serving
-        oracle.
-        """
+        """Modelled time to serve one dynamic-batcher flush on the pool:
+        :meth:`infer_batch`'s sharded latency (the slowest shard)."""
         return self.infer_batch(num_requests).total_seconds
 
     # ------------------------------------------------------------------ #
-    # Homogeneous collection / training oracles (single-platform surface)
-    #
-    # ``FixarPlatform`` and the pool are duck-typed interchangeably at the
-    # pricing joints, so the pool mirrors the platform's whole public
-    # ``infer_*`` / ``fleet_*`` / ``*_round_seconds`` surface — pinned
-    # statically by the ``oracle-surface-parity`` lint rule.  A homogeneous
-    # ``num_workers``-worker run deals its workers round-robin over the
-    # collection devices (the same dealing order ``resolve_assignment``
-    # uses for fleet groups), so a 1-device colocated pool reproduces every
-    # single-platform price exactly.
+    # Fleet rounds (adapters over repro.platform.rounds)
     # ------------------------------------------------------------------ #
-    def _deal_workers(self, num_workers: int) -> List[Tuple[int, int]]:
-        """``(device, worker count)`` round-robin deal over collection devices.
-
-        Worker ``w`` lands on collection device ``w % len(collection)``;
-        devices that would receive no workers are skipped, and the counts
-        always sum to ``num_workers``.
-        """
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        collection = self.collection_devices
-        dealt = []
-        for rank, device in enumerate(collection):
-            count = (num_workers + len(collection) - 1 - rank) // len(collection)
-            if count > 0:
-                dealt.append((device, count))
-        return dealt
-
-    def infer_collection(
-        self, num_envs: int, num_workers: int = 1
-    ) -> PoolInferenceReport:
-        """Price one homogeneous collection round dealt over the pool.
-
-        Drop-in for :meth:`FixarPlatform.infer_collection`: each collection
-        device serves its dealt workers' batches back to back
-        (:class:`~repro.platform.CollectionInferenceReport` per device) and
-        the devices run in parallel, so the pool round is the slowest
-        device's serial round.  A 1-device pool's totals equal the single
-        platform's report exactly.
-        """
-        benchmark = self.template.workload.benchmark
-        per_device = tuple(
-            (
-                device,
-                FleetInferenceReport(
-                    groups=(
-                        FleetGroupInference(
-                            benchmark=benchmark,
-                            report=self.devices[device].infer_collection(
-                                num_envs, count
-                            ),
-                            weight=1,
-                        ),
-                    )
-                ),
-            )
-            for device, count in self._deal_workers(num_workers)
-        )
-        return PoolInferenceReport(placement=self.placement, per_device=per_device)
-
-    def collection_round_seconds(self, num_envs: int, num_workers: int = 1) -> float:
-        """Modelled time of one homogeneous collection round on the pool.
-
-        Per dealt device, the single-platform bound
-        ``max(host + inference, count * inference)`` applies to that
-        device's worker share; the pool round is the slowest device.
-        """
-        return max(
-            self.devices[device].collection_round_seconds(num_envs, count)
-            for device, count in self._deal_workers(num_workers)
-        )
-
-    def update_round_seconds(
-        self, batch_size: int, updates: int, pipelined: bool = False
-    ) -> float:
-        """Modelled time of the learner's update phase on the pool.
-
-        A homogeneous run has one learner, hence one update stream: it runs
-        on the dedicated update device when disaggregated, on device 0
-        (its collection device under the round-robin deal) when colocated.
-        The devices are identical siblings, so the stream prices exactly as
-        on the single platform; what placement changes is the *contention*
-        term in :meth:`pipelined_round_seconds`.
-        """
-        device = self.update_device if self.update_device is not None else 0
-        return self.devices[device].update_round_seconds(
-            batch_size, updates, pipelined=pipelined
-        )
-
-    def sequential_round_seconds(
-        self,
-        num_envs: int,
-        num_workers: int = 1,
-        batch_size: int = 64,
-        updates_per_round: Optional[int] = None,
-    ) -> float:
-        """Modelled time of one sequential training round on the pool
-        (collection and the blocking update phase strictly alternate)."""
-        updates = self.template._updates_per_round(
-            num_envs, num_workers, updates_per_round
-        )
-        return self.collection_round_seconds(
-            num_envs, num_workers
-        ) + self.update_round_seconds(batch_size, updates, pipelined=False)
-
-    def pipelined_round_seconds(
-        self,
-        num_envs: int,
-        num_workers: int = 1,
-        batch_size: int = 64,
-        updates_per_round: Optional[int] = None,
-    ) -> float:
-        """Modelled time of one pipelined training round on the pool.
-
-        ``max(collection, update stream)`` — colocated, the stream shares
-        device 0 with that device's dealt rollout inferences (their FPGA
-        time joins the stream, exactly the single platform's contention
-        term scaled to device 0's worker share); disaggregated, the update
-        device serves no rollout inferences, so the stream runs bare.
-        """
-        updates = self.template._updates_per_round(
-            num_envs, num_workers, updates_per_round
-        )
-        collection = self.collection_round_seconds(num_envs, num_workers)
-        update = self.update_round_seconds(batch_size, updates, pipelined=True)
-        if self.placement == "disaggregated":
-            return max(collection, update)
-        dealt = dict(self._deal_workers(num_workers))
-        contention = dealt.get(0, 0) * self.devices[0].infer_batch(
-            num_envs
-        ).fpga_seconds
-        return max(collection, update + contention)
-
-    # ------------------------------------------------------------------ #
-    # Fleet pricing oracles (device-aware ``fleet_*`` surface)
-    # ------------------------------------------------------------------ #
-    def _resolve(
+    def _fleet_round(
         self,
         fleet: Sequence[Sequence],
         num_envs: Optional[int],
-        weights: Optional[Sequence[int]],
-        assignment: Optional[Mapping[str, int]],
-    ) -> List[Tuple[FixarPlatform, int, int, int, int]]:
-        """``(platform, count, width, weight, device)`` per fleet entry."""
-        resolved = self.template._resolve_fleet(fleet, num_envs, weights)
+        weights: Optional[Sequence[int]] = None,
+        assignment: Optional[Mapping[str, int]] = None,
+    ) -> Round:
+        """The fleet's round on this pool, each group placed on its device."""
+        entries = self.template._resolve_fleet(fleet, num_envs, weights)
         devices = self.resolve_assignment(
-            [platform.workload.benchmark for platform, *_rest in resolved],
-            assignment,
+            [entry.platform.workload.benchmark for entry in entries], assignment
         )
-        return [entry + (device,) for entry, device in zip(resolved, devices)]
-
-    def _collection_round(self, resolved) -> float:
-        """Collection-round time of an already-resolved, device-assigned fleet.
-
-        The per-worker ``host + inference`` chains are device-independent
-        (each worker runs on its own host core); the accelerator-serial
-        bound becomes per-device — every collection device serves only its
-        assigned groups' batches, and the devices run in parallel.
-        """
-        chains = []
-        accelerator = {index: 0.0 for index in self.collection_devices}
-        for platform, count, width, weight, device in resolved:
-            inference = platform.infer_batch(width).total_seconds
-            host = platform.host.collection_step_seconds(
-                platform.workload.benchmark, width
-            )
-            chains.append(weight * (host + inference))
-            accelerator[device] += count * weight * inference
-        return max(max(chains), max(accelerator.values()))
-
-    @staticmethod
-    def _round_steps(resolved) -> int:
-        """Environment steps of one round of a resolved fleet."""
-        return sum(
-            count * weight * width
-            for _platform, count, width, weight, _device in resolved
+        return self._round(
+            entry._replace(device=device) for entry, device in zip(entries, devices)
         )
+
+    def infer_fleet(
+        self,
+        fleet: Sequence[Sequence],
+        num_envs: int,
+        weights: Optional[Sequence[int]] = None,
+        assignment: Optional[Mapping[str, int]] = None,
+    ) -> InferenceReport:
+        """Fleet inference report of one pool round, one row per group."""
+        return self._fleet_round(fleet, num_envs, weights, assignment).inference_report()
 
     def fleet_collection_round_seconds(
         self,
@@ -573,9 +299,7 @@ class AcceleratorPool:
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
         """Modelled time of one fleet collection round on the pool."""
-        return self._collection_round(
-            self._resolve(fleet, num_envs, weights, assignment)
-        )
+        return self._fleet_round(fleet, num_envs, weights, assignment).collection_seconds()
 
     def fleet_collection_steps_per_second(
         self,
@@ -585,33 +309,9 @@ class AcceleratorPool:
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
         """Modelled collection throughput of a fleet on the pool."""
-        resolved = self._resolve(fleet, num_envs, weights, assignment)
-        return self._round_steps(resolved) / self._collection_round(resolved)
-
-    def _update_streams(
-        self, resolved, batch_size: int, pipelined: bool
-    ) -> Dict[int, float]:
-        """Per-device update-phase seconds of a resolved fleet.
-
-        Colocated: each group's learner streams to the group's collection
-        device, so streams on different devices run in parallel.
-        Disaggregated: every stream runs on the dedicated update device,
-        back to back (keyed under that single device).
-        """
-        if self.placement == "disaggregated":
-            total = sum(
-                platform.update_round_seconds(
-                    batch_size, count * weight * width, pipelined=pipelined
-                )
-                for platform, count, width, weight, _device in resolved
-            )
-            return {self.update_device: total}
-        streams = {index: 0.0 for index in self.collection_devices}
-        for platform, count, width, weight, device in resolved:
-            streams[device] += platform.update_round_seconds(
-                batch_size, count * weight * width, pipelined=pipelined
-            )
-        return streams
+        return self._fleet_round(
+            fleet, num_envs, weights, assignment
+        ).collection_steps_per_second()
 
     def fleet_sequential_round_seconds(
         self,
@@ -621,17 +321,12 @@ class AcceleratorPool:
         weights: Optional[Sequence[int]] = None,
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
-        """Modelled time of one *sequential* training round on the pool.
-
-        Collection and updates strictly alternate, but update phases on
-        different devices run concurrently — the update term is the
-        slowest device's blocking-update total (disaggregated pools run
-        every update on the dedicated device, so the term is the full sum,
-        unchanged from the single platform).
-        """
-        resolved = self._resolve(fleet, num_envs, weights, assignment)
-        update = max(self._update_streams(resolved, batch_size, False).values())
-        return self._collection_round(resolved) + update
+        """Modelled time of one *sequential* training round on the pool
+        (the update term is the slowest device's blocking-update total;
+        disaggregated, the full sum on the update device)."""
+        return self._fleet_round(
+            fleet, num_envs, weights, assignment
+        ).sequential_seconds(batch_size)
 
     def fleet_pipelined_round_seconds(
         self,
@@ -641,32 +336,12 @@ class AcceleratorPool:
         weights: Optional[Sequence[int]] = None,
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
-        """Modelled time of one *pipelined* training round on the pool.
-
-        The update streams overlap collection.  Colocated, each device's
-        stream contends with that device's rollout inferences (its
-        assigned groups' FPGA inference time joins its stream), and the
-        round is ``max(collection, slowest device stream)``.
-        Disaggregated, the dedicated update device serves no rollout
-        inferences, so the update term is the bare stream total.
-        """
-        resolved = self._resolve(fleet, num_envs, weights, assignment)
-        collection = self._collection_round(resolved)
-        streams = self._update_streams(resolved, batch_size, True)
-        if self.placement == "disaggregated":
-            return max(collection, streams[self.update_device])
-        inference_fpga = {index: 0.0 for index in self.collection_devices}
-        for platform, count, width, weight, device in resolved:
-            inference_fpga[device] += (
-                count * weight * platform.infer_batch(width).fpga_seconds
-            )
-        return max(
-            collection,
-            max(
-                streams[index] + inference_fpga[index]
-                for index in self.collection_devices
-            ),
-        )
+        """Modelled time of one *pipelined* training round on the pool
+        (``max(collection, slowest device stream)``; only colocated streams
+        contend with their device's rollout inferences)."""
+        return self._fleet_round(
+            fleet, num_envs, weights, assignment
+        ).pipelined_seconds(batch_size)
 
     def fleet_training_steps_per_second(
         self,
@@ -678,19 +353,9 @@ class AcceleratorPool:
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
         """Modelled end-to-end training throughput of a fleet on the pool."""
-        round_seconds = (
-            self.fleet_pipelined_round_seconds(
-                fleet, num_envs, batch_size, weights, assignment
-            )
-            if pipelined
-            else self.fleet_sequential_round_seconds(
-                fleet, num_envs, batch_size, weights, assignment
-            )
-        )
-        return (
-            self._round_steps(self._resolve(fleet, num_envs, weights, assignment))
-            / round_seconds
-        )
+        return self._fleet_round(
+            fleet, num_envs, weights, assignment
+        ).training_steps_per_second(batch_size, pipelined)
 
     def fleet_pipelined_speedup(
         self,
@@ -701,36 +366,6 @@ class AcceleratorPool:
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
         """Steps/sec of the pipelined pool schedule over the sequential one."""
-        return self.fleet_training_steps_per_second(
-            fleet, num_envs, batch_size, pipelined=True,
-            weights=weights, assignment=assignment,
-        ) / self.fleet_training_steps_per_second(
-            fleet, num_envs, batch_size, pipelined=False,
-            weights=weights, assignment=assignment,
-        )
-
-    def infer_fleet(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        weights: Optional[Sequence[int]] = None,
-        assignment: Optional[Mapping[str, int]] = None,
-    ) -> PoolInferenceReport:
-        """Per-device fleet inference report of one pool round."""
-        resolved = self._resolve(fleet, num_envs, weights, assignment)
-        per_device = []
-        for index in self.collection_devices:
-            groups = tuple(
-                FleetGroupInference(
-                    benchmark=platform.workload.benchmark,
-                    report=platform.infer_collection(width, count),
-                    weight=weight,
-                )
-                for platform, count, width, weight, device in resolved
-                if device == index
-            )
-            if groups:
-                per_device.append((index, FleetInferenceReport(groups=groups)))
-        return PoolInferenceReport(
-            placement=self.placement, per_device=tuple(per_device)
-        )
+        return self._fleet_round(
+            fleet, num_envs, weights, assignment
+        ).pipelined_speedup(batch_size)

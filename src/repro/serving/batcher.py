@@ -126,7 +126,7 @@ class DynamicBatcher:
             else:
                 flush_at = join_by
             report = self.platform.infer_batch(len(batch))
-            service = self.platform.serving_round_seconds(len(batch))
+            service = report.total_seconds
             completion = flush_at + service
             flush = BatchFlush(
                 request_ids=tuple(request.request_id for request in batch),

@@ -266,3 +266,72 @@ class TestPipelinedSchedule:
         )
         with pytest.raises(ValueError):
             pcie.update_bytes(0, 17, 6)
+
+
+class TestHomogeneousIsTheOneGroupFleet:
+    """Every homogeneous oracle ``==`` its one-group fleet form, exactly.
+
+    Both are adapters over one kernel (``repro.platform.rounds``): the
+    homogeneous methods price the one-entry fleet of the platform itself,
+    the ``fleet_*`` methods resolve a sibling platform per group.  The two
+    report files that show the same 4,219.1 steps/sec (``async_collect.txt``
+    and ``hetero_fleet.txt``) agree because of this, not by coincidence.
+    """
+
+    STATES = {
+        "full": None,
+        "uniform-half": {"default": 16, "layers": {}},
+        "mixed": {"default": 32, "layers": {"actor_fc0": 16, "critic_out": 16}},
+    }
+    REPORT_ACCESSORS = (
+        "num_workers",
+        "num_states",
+        "fpga_seconds",
+        "runtime_seconds",
+        "total_seconds",
+        "pcie_bytes",
+        "energy_joules",
+        "states_per_second",
+    )
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    @pytest.mark.parametrize("num_workers", [1, 3, 8])
+    @pytest.mark.parametrize("num_envs", [1, 8])
+    def test_every_oracle_and_report_accessor(self, platform, state, num_workers, num_envs):
+        platform = platform.with_precision_state(self.STATES[state])
+        workload = platform.workload.benchmark
+        for fleet in ([(workload, num_workers)], [(platform.workload, num_workers)]):
+            assert platform.fleet_collection_round_seconds(
+                fleet, num_envs
+            ) == platform.collection_round_seconds(num_envs, num_workers)
+            assert platform.fleet_collection_steps_per_second(
+                fleet, num_envs
+            ) == platform.collection_steps_per_second(num_envs, num_workers)
+            for batch in (32, 64):
+                assert platform.fleet_sequential_round_seconds(
+                    fleet, num_envs, batch
+                ) == platform.sequential_round_seconds(num_envs, num_workers, batch)
+                assert platform.fleet_pipelined_round_seconds(
+                    fleet, num_envs, batch
+                ) == platform.pipelined_round_seconds(num_envs, num_workers, batch)
+                for pipelined in (False, True):
+                    assert platform.fleet_training_steps_per_second(
+                        fleet, num_envs, batch, pipelined=pipelined
+                    ) == platform.training_steps_per_second(
+                        num_envs, num_workers, batch, pipelined=pipelined
+                    )
+                assert platform.fleet_pipelined_speedup(
+                    fleet, num_envs, batch
+                ) == platform.pipelined_speedup(num_envs, num_workers, batch)
+            homogeneous = platform.infer_collection(num_envs, num_workers)
+            one_group = platform.infer_fleet(fleet, num_envs)
+            assert one_group == homogeneous
+            for accessor in self.REPORT_ACCESSORS:
+                assert getattr(one_group, accessor) == getattr(homogeneous, accessor)
+
+    def test_single_row_report_reduces_to_the_batch_report(self, platform):
+        batch = platform.infer_batch(8)
+        (row,) = platform.infer_collection(8, 1).rows
+        assert row.per_worker == batch
+        for accessor in self.REPORT_ACCESSORS[1:-1]:
+            assert getattr(row, accessor) == getattr(batch, accessor)

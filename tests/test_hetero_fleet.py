@@ -475,6 +475,29 @@ class TestFleetPlatformPricing:
                 mixed, self.NUM_ENVS, weights=[2.0, 1]
             )
 
+    def test_fractional_worker_counts_and_widths_rejected(self, platform):
+        """2.5 workers or a 4.5-wide batch must not be priced: counts and
+        widths are validated like the round weights, naming the entry."""
+        for oracle in (
+            platform.infer_fleet,
+            platform.fleet_collection_round_seconds,
+            platform.fleet_collection_steps_per_second,
+            platform.fleet_sequential_round_seconds,
+            platform.fleet_pipelined_round_seconds,
+            platform.fleet_training_steps_per_second,
+        ):
+            with pytest.raises(
+                ValueError, match=r"worker counts must be integers.*'Hopper', 2\.5"
+            ):
+                oracle([("HalfCheetah", 2), ("Hopper", 2.5)], 4)
+            with pytest.raises(
+                ValueError, match=r"lock-step widths must be integers.*'Hopper', 2, 4\.5"
+            ):
+                oracle([("Hopper", 2, 4.5)], 4)
+            # The default width is validated through the same check.
+            with pytest.raises(ValueError, match="lock-step widths must be integers"):
+                oracle([("Hopper", 2)], 4.5)
+
     def test_infer_fleet_stamps_round_weights(self, platform):
         """The weighted schedule's inference payload: weight w multiplies a
         group's states, time, payload, and energy — and is recorded on the
@@ -482,10 +505,10 @@ class TestFleetPlatformPricing:
         mixed = [("HalfCheetah", 2), ("Hopper", 2)]
         weighted = platform.infer_fleet(mixed, self.NUM_ENVS, weights=[2, 1])
         uniform = platform.infer_fleet(mixed, self.NUM_ENVS)
-        assert [group.weight for group in weighted.groups] == [2, 1]
-        assert [group.weight for group in uniform.groups] == [1, 1]
-        cheetah_w, hopper_w = weighted.groups
-        cheetah_u, hopper_u = uniform.groups
+        assert [group.weight for group in weighted.rows] == [2, 1]
+        assert [group.weight for group in uniform.rows] == [1, 1]
+        cheetah_w, hopper_w = weighted.rows
+        cheetah_u, hopper_u = uniform.rows
         assert cheetah_w.num_states == 2 * cheetah_u.num_states
         assert cheetah_w.total_seconds == 2 * cheetah_u.total_seconds
         assert cheetah_w.pcie_bytes == 2 * cheetah_u.pcie_bytes

@@ -28,8 +28,7 @@ from repro.nn import make_numerics
 from repro.platform import (
     AcceleratorPool,
     FixarPlatform,
-    PoolInferenceReport,
-    ShardedInferenceReport,
+    InferenceReport,
     WorkloadSpec,
 )
 from repro.rl import DDPGAgent, DDPGConfig, TrainingConfig, train, train_fleet
@@ -137,6 +136,13 @@ class TestConstruction:
         assert pinned.devices is pool.devices
         assert pinned.assignment == {"hopper": 1}
         assert pool.assignment is None
+        # The sibling is the pool with only the assignment rebound: every
+        # other attribute (including any a later __init__ adds) is shared.
+        assert vars(pinned).keys() == vars(pool).keys()
+        for name in vars(pool).keys() - {"assignment"}:
+            assert vars(pinned)[name] is vars(pool)[name]
+        with pytest.raises(ValueError, match="collection devices"):
+            pool.with_assignment({"hopper": 2})
 
 
 class TestSingleDeviceBitExactness:
@@ -147,8 +153,8 @@ class TestSingleDeviceBitExactness:
         for batch in (1, 8, 64, 256):
             single = platform.infer_batch(batch)
             sharded = pool.infer_batch(batch)
-            assert isinstance(sharded, ShardedInferenceReport)
-            assert len(sharded.shards) == 1
+            assert isinstance(sharded, InferenceReport)
+            assert len(sharded.rows) == 1
             assert sharded.num_states == single.num_states
             assert sharded.fpga_seconds == single.fpga_seconds
             assert sharded.runtime_seconds == single.runtime_seconds
@@ -195,12 +201,10 @@ class TestSingleDeviceBitExactness:
         pool = AcceleratorPool(platform, 1)
         single = platform.infer_fleet(MIXED, NUM_ENVS)
         pooled = pool.infer_fleet(MIXED, NUM_ENVS)
-        assert isinstance(pooled, PoolInferenceReport)
-        assert len(pooled.per_device) == 1
-        device, report = pooled.per_device[0]
-        assert device == 0
-        assert report.num_states == single.num_states
-        assert report.num_workers == single.num_workers
+        assert isinstance(pooled, InferenceReport)
+        assert {row.device for row in pooled.rows} == {0}
+        assert pooled.num_states == single.num_states
+        assert pooled.num_workers == single.num_workers
         assert pooled.total_seconds == single.total_seconds
         assert pooled.pcie_bytes == single.pcie_bytes
         assert pooled.energy_joules == single.energy_joules
@@ -251,13 +255,13 @@ class TestSharding:
         pool = AcceleratorPool(platform, 3)
         report = pool.infer_batch(64)
         assert report.num_states == 64
-        assert len(report.shards) == 3
+        assert len(report.rows) == 3
 
     def test_narrow_batch_skips_empty_shards(self, platform):
         pool = AcceleratorPool(platform, 4)
         report = pool.infer_batch(2)
         assert report.num_states == 2
-        assert len(report.shards) == 2
+        assert len(report.rows) == 2
 
     def test_disaggregated_shards_skip_the_update_device(self, platform):
         pool = AcceleratorPool(platform, 3, placement="disaggregated")
@@ -342,15 +346,25 @@ class TestPoolPricing:
         with pytest.raises(ValueError, match="must be integers"):
             pool.fleet_collection_round_seconds(MIXED, NUM_ENVS, weights=[1.5, 1])
 
+    def test_fractional_worker_counts_and_widths_rejected(self, platform):
+        pool = AcceleratorPool(platform, 2)
+        for oracle in (pool.infer_fleet, pool.fleet_collection_steps_per_second):
+            with pytest.raises(
+                ValueError, match=r"worker counts must be integers.*'Hopper', 2\.5"
+            ):
+                oracle([("HalfCheetah", 2), ("Hopper", 2.5)], NUM_ENVS)
+            with pytest.raises(
+                ValueError, match=r"lock-step widths must be integers.*'Hopper', 2, 4\.5"
+            ):
+                oracle([("Hopper", 2, 4.5)], NUM_ENVS)
+
     def test_infer_fleet_groups_by_device(self, platform):
         pool = AcceleratorPool(platform, 2)
         report = pool.infer_fleet(MIXED, NUM_ENVS)
-        assert [device for device, _report in report.per_device] == [0, 1]
-        benchmarks = {
-            device: [group.benchmark for group in fleet_report.groups]
-            for device, fleet_report in report.per_device
-        }
-        assert benchmarks == {0: ["HalfCheetah"], 1: ["Hopper"]}
+        assert [(row.device, row.benchmark) for row in report.rows] == [
+            (0, "HalfCheetah"),
+            (1, "Hopper"),
+        ]
         single = platform.infer_fleet(MIXED, NUM_ENVS)
         assert report.num_states == single.num_states
         assert report.pcie_bytes == single.pcie_bytes
@@ -425,30 +439,42 @@ class TestPoolTraining:
 
 
 class TestHomogeneousOracleSurface:
-    """The pool mirrors FixarPlatform's full oracle surface (PR-7 parity fix).
+    """A homogeneous run on a pool is a one-benchmark fleet.
 
-    The ``oracle-surface-parity`` lint rule pins the method *names*
-    statically; these tests pin the *semantics*: 1-device colocated pools
-    reproduce every single-platform price exactly, and multi-device pools
-    deal homogeneous workers round-robin over the collection devices.
+    The pool has no homogeneous methods of its own: ``num_workers`` workers
+    of one benchmark are priced as fleet groups of that benchmark, which
+    ``resolve_assignment`` deals round-robin over the collection devices.
+    A 1-device colocated pool reproduces every homogeneous single-platform
+    price exactly through that route.
     """
+
+    HOMOGENEOUS = "HalfCheetah"
 
     def test_one_device_prices_match_the_platform_exactly(self, platform):
         pool = AcceleratorPool(platform, 1)
         for workers in (1, 2, 4):
-            assert pool.collection_round_seconds(
-                NUM_ENVS, workers
+            fleet = [(self.HOMOGENEOUS, workers)]
+            assert pool.fleet_collection_round_seconds(
+                fleet, NUM_ENVS
             ) == platform.collection_round_seconds(NUM_ENVS, workers)
-            assert pool.sequential_round_seconds(
-                NUM_ENVS, workers, BATCH
+            assert pool.fleet_collection_steps_per_second(
+                fleet, NUM_ENVS
+            ) == platform.collection_steps_per_second(NUM_ENVS, workers)
+            assert pool.fleet_sequential_round_seconds(
+                fleet, NUM_ENVS, BATCH
             ) == platform.sequential_round_seconds(NUM_ENVS, workers, BATCH)
-            assert pool.pipelined_round_seconds(
-                NUM_ENVS, workers, BATCH
+            assert pool.fleet_pipelined_round_seconds(
+                fleet, NUM_ENVS, BATCH
             ) == platform.pipelined_round_seconds(NUM_ENVS, workers, BATCH)
-        for pipelined in (False, True):
-            assert pool.update_round_seconds(
-                BATCH, 32, pipelined=pipelined
-            ) == platform.update_round_seconds(BATCH, 32, pipelined=pipelined)
+            for pipelined in (False, True):
+                assert pool.fleet_training_steps_per_second(
+                    fleet, NUM_ENVS, BATCH, pipelined=pipelined
+                ) == platform.training_steps_per_second(
+                    NUM_ENVS, workers, BATCH, pipelined=pipelined
+                )
+            assert pool.fleet_pipelined_speedup(
+                fleet, NUM_ENVS, BATCH
+            ) == platform.pipelined_speedup(NUM_ENVS, workers, BATCH)
         assert pool.fleet_pipelined_speedup(
             MIXED, NUM_ENVS, BATCH
         ) == platform.fleet_pipelined_speedup(MIXED, NUM_ENVS, BATCH)
@@ -456,9 +482,9 @@ class TestHomogeneousOracleSurface:
     def test_one_device_infer_collection_totals_match(self, platform):
         pool = AcceleratorPool(platform, 1)
         single = platform.infer_collection(NUM_ENVS, 4)
-        pooled = pool.infer_collection(NUM_ENVS, 4)
-        assert isinstance(pooled, PoolInferenceReport)
-        assert len(pooled.per_device) == 1
+        pooled = pool.infer_fleet([(self.HOMOGENEOUS, 4)], NUM_ENVS)
+        assert isinstance(pooled, InferenceReport)
+        assert len(pooled.rows) == 1
         assert pooled.num_workers == single.num_workers
         assert pooled.num_states == single.num_states
         assert pooled.total_seconds == single.total_seconds
@@ -467,20 +493,24 @@ class TestHomogeneousOracleSurface:
 
     def test_worker_deal_is_round_robin_and_conserving(self, platform):
         pool = AcceleratorPool(platform, 2)
-        assert pool._deal_workers(5) == [(0, 3), (1, 2)]
-        assert pool._deal_workers(1) == [(0, 1)]
-        report = pool.infer_collection(NUM_ENVS, 5)
+        workers = [(self.HOMOGENEOUS, 1)] * 5
+        assert pool.resolve_assignment([self.HOMOGENEOUS] * 5) == [0, 1, 0, 1, 0]
+        assert pool.resolve_assignment([self.HOMOGENEOUS]) == [0]
+        report = pool.infer_fleet(workers, NUM_ENVS)
+        assert [row.device for row in report.rows] == [0, 1, 0, 1, 0]
         assert report.num_workers == 5
         assert report.num_states == 5 * NUM_ENVS
-        with pytest.raises(ValueError, match="num_workers"):
-            pool.collection_round_seconds(NUM_ENVS, 0)
+        with pytest.raises(ValueError, match="worker counts"):
+            pool.fleet_collection_round_seconds([(self.HOMOGENEOUS, 0)], NUM_ENVS)
 
     def test_two_devices_speed_up_a_saturated_collection_round(self, platform):
         # 8 workers saturate one accelerator (round = 8 serial inferences
         # beats the host + inference chain); dealt 4 + 4 over two devices
         # the serial bound halves, so the pool round is strictly cheaper.
         single = platform.collection_round_seconds(NUM_ENVS, 8)
-        pooled = AcceleratorPool(platform, 2).collection_round_seconds(NUM_ENVS, 8)
+        pooled = AcceleratorPool(platform, 2).fleet_collection_round_seconds(
+            [(self.HOMOGENEOUS, 4), (self.HOMOGENEOUS, 4)], NUM_ENVS
+        )
         assert pooled < single
         assert pooled >= single / 2
 
@@ -489,25 +519,38 @@ class TestHomogeneousOracleSurface:
         # pipelined round drops the contention term the colocated pool pays
         # on device 0 — disaggregated can never price above colocated at
         # equal device count.
+        fleet = [(self.HOMOGENEOUS, 4)]
         colocated = AcceleratorPool(platform, 2, placement="colocated")
         disaggregated = AcceleratorPool(platform, 2, placement="disaggregated")
-        assert disaggregated.pipelined_round_seconds(
-            NUM_ENVS, 4, BATCH
-        ) <= colocated.pipelined_round_seconds(NUM_ENVS, 4, BATCH)
+        assert disaggregated.fleet_pipelined_round_seconds(
+            fleet, NUM_ENVS, BATCH
+        ) <= colocated.fleet_pipelined_round_seconds(fleet, NUM_ENVS, BATCH)
 
     def test_update_round_runs_on_the_update_device(self, platform):
+        # Colocated, the two groups' blocking update phases run on their own
+        # devices and overlap (the slowest bounds the round); disaggregated,
+        # both run back to back on the dedicated device (index 2).
+        updates = [
+            platform.for_benchmark(benchmark).update_round_seconds(
+                BATCH, count * NUM_ENVS
+            )
+            for benchmark, count in MIXED
+        ]
+        colocated = AcceleratorPool(platform, 2)
         disaggregated = AcceleratorPool(platform, 3, placement="disaggregated")
-        # Identical sibling devices: the price equals the template's, but
-        # the dispatch must target the dedicated device (index 2).
         assert disaggregated.update_device == 2
-        assert disaggregated.update_round_seconds(
-            BATCH, 16
-        ) == platform.update_round_seconds(BATCH, 16)
+        assert disaggregated.fleet_sequential_round_seconds(
+            MIXED, NUM_ENVS, BATCH
+        ) == disaggregated.fleet_collection_round_seconds(MIXED, NUM_ENVS) + sum(updates)
+        assert colocated.fleet_sequential_round_seconds(
+            MIXED, NUM_ENVS, BATCH
+        ) == colocated.fleet_collection_round_seconds(MIXED, NUM_ENVS) + max(updates)
 
     def test_sequential_round_is_collection_plus_update(self, platform):
         pool = AcceleratorPool(platform, 2)
-        assert pool.sequential_round_seconds(
-            NUM_ENVS, 4, BATCH
-        ) == pool.collection_round_seconds(NUM_ENVS, 4) + pool.update_round_seconds(
-            BATCH, 4 * NUM_ENVS
-        )
+        fleet = [(self.HOMOGENEOUS, 4)]
+        assert pool.fleet_sequential_round_seconds(
+            fleet, NUM_ENVS, BATCH
+        ) == pool.fleet_collection_round_seconds(
+            fleet, NUM_ENVS
+        ) + platform.update_round_seconds(BATCH, 4 * NUM_ENVS)

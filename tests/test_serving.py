@@ -487,7 +487,7 @@ class TestPoolServing:
         for batch in (1, 5, 8, 17):
             report = pool.infer_batch(batch)
             assert report.num_states == batch
-            assert sum(shard.num_states for _d, shard in report.shards) == batch
+            assert sum(shard.num_states for shard in report.rows) == batch
 
     def test_pool_server_actions_match_single_platform(self, rng):
         agent = _agent(rng)
