@@ -149,6 +149,18 @@ def _assignment_spec(value: str):
     return mapping
 
 
+def _assignment_error(args: argparse.Namespace, error: ValueError) -> int:
+    """Exit 2 for an ``--assignment`` mapping only the run could validate.
+
+    Its benchmarks are checked against the scheduled groups and its devices
+    against the pool; any other run-time ``ValueError`` is a bug and propagates.
+    """
+    if not isinstance(args.assignment, dict):
+        raise error
+    print(f"error: --assignment: {error}", file=sys.stderr)
+    return 2
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser with all sub-commands."""
     parser = argparse.ArgumentParser(
@@ -433,10 +445,13 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
           f"default, {schedule} schedule{pool_text})")
 
     profiler = StageTimers() if args.profile else None
-    result = train_fleet(
-        agents, config, qat_controller=qat_controller, label=args.regime,
-        platform=platform, profiler=profiler,
-    )
+    try:
+        result = train_fleet(
+            agents, config, qat_controller=qat_controller, label=args.regime,
+            platform=platform, profiler=profiler,
+        )
+    except ValueError as error:
+        return _assignment_error(args, error)
     if profiler is not None:
         print("wall-clock stage breakdown (fleet collection hot path):")
         print(profiler.table())
@@ -594,7 +609,10 @@ def _command_train(args: argparse.Namespace) -> int:
             print(f"  final episode return     {result.episode_returns[-1]:12.1f}")
     else:
         profiler = StageTimers() if args.profile else None
-        result = system.train(profiler=profiler)
+        try:
+            result = system.train(profiler=profiler)
+        except ValueError as error:
+            return _assignment_error(args, error)
         print(format_curve(result.curve.timesteps, result.curve.returns, label="reward curve"))
         if result.qat_event is not None:
             print(f"precision switch at t={result.qat_event.timestep} "

@@ -10,31 +10,30 @@ Experience collection is built on the vectorized rollout subsystem: a
 actions for all ``num_envs`` environments with one batched actor forward
 pass, draws exploration noise in one batched call
 (:meth:`NoiseProcess.sample_batch`), and inserts transitions with one
-:meth:`ReplayBuffer.add_batch` write.  :func:`train` drives DDPG and TD3
-through that engine for any ``num_envs`` (``num_envs == 1`` reproduces the
-scalar loop — preserved as :func:`train_scalar_reference` — bit for bit).
-Multi-worker collection builds on that seam: an :class:`AsyncCollector`
-coordinates :class:`CollectorWorker` replicas (each owning its own
-``VectorEnv`` + engine, seeded ``seed + worker_id * num_envs + i``) around
-one shared replay buffer, with a deterministic synchronous mode used by
-:func:`train` (``TrainingConfig.num_workers``) and a free-running
-multi-process mode for raw collection throughput.  A fleet can also span
-*heterogeneous benchmarks* (``TrainingConfig.fleet``, e.g.
-``"HalfCheetah:2,Hopper:2"``): :class:`HeteroFleet` groups the workers per
-benchmark (own replay buffer and learner agent each, one shared numerics
-object so QAT switches apply fleet-wide) and :func:`train_fleet` runs the
-deterministic round schedule across the groups.  The round schedules
-themselves live in the *scheduler subsystem* (:mod:`repro.rl.scheduler`):
-a :class:`RoundScheduler` drives the collector groups through a pluggable
-:class:`SchedulePolicy` — :class:`SequentialPolicy` (the bit-exact
-historical loop), :class:`PipelinedPolicy` (bounded staleness: the fleet
-collects round k+1 while the learner drains round k, priced by the
-platform as ``max(collection, update)`` per round via
-:meth:`~repro.platform.FixarPlatform.pipelined_round_seconds`), and
-:class:`ThroughputWeightedPolicy` (heterogeneous benchmarks with cheaper
-modelled host+inference chains collect extra lock-steps per round,
-``FixarPlatform.fleet_collection_round_seconds`` as cost oracle) —
-selected by ``TrainingConfig.schedule``.  Activation precision is driven
+:meth:`ReplayBuffer.add_batch` write.  An :class:`AsyncCollector`
+coordinates one benchmark's :class:`CollectorWorker` replicas (each owning
+its own ``VectorEnv`` + engine, seeded ``seed + env_offset + i``) around one
+shared replay buffer, with a deterministic synchronous mode every training
+schedule uses and a free-running multi-process mode for raw collection
+throughput.
+
+Training is one builder, one scheduler, two result shapes
+(:mod:`repro.rl.training`).  A run is a list of :class:`ScheduledGroup` s —
+one benchmark's collector, learner agent, replay buffer, curve and
+evaluation environment, all learners sharing one numerics object so QAT
+switches apply run-wide — built in one place and driven by one
+:class:`RoundScheduler`.  :func:`train_fleet` runs the N groups of a
+``TrainingConfig.fleet`` spec (e.g. ``"HalfCheetah:2,Hopper:2"``) and
+returns a :class:`FleetTrainingResult`; :func:`train` is the one-group case
+(``TrainingConfig.num_workers``) and returns its :class:`TrainingResult`.
+With one worker and ``num_envs == 1`` it reproduces the scalar loop —
+preserved as :func:`train_scalar_reference` — bit for bit.  The scheduler
+(:mod:`repro.rl.scheduler`) shapes rounds through a pluggable
+:class:`SchedulePolicy` selected by ``TrainingConfig.schedule``:
+:class:`SequentialPolicy`, :class:`PipelinedPolicy` (bounded staleness: the
+fleet collects round k+1 while the learner drains round k) and
+:class:`ThroughputWeightedPolicy` (cheaper modelled benchmarks collect
+extra lock-steps per round).  Activation precision is driven
 by the *precision subsystem* (:mod:`repro.rl.precision`): a pluggable
 :class:`PrecisionPolicy` — :class:`GlobalSwitchPolicy` (Algorithm 1's
 single fleet-wide switch, bit-exact with :class:`QATController`),
@@ -99,8 +98,6 @@ from .workers import (
     AsyncCollector,
     AsyncCollectStats,
     CollectorWorker,
-    FleetGroup,
-    HeteroFleet,
     parse_fleet_spec,
     worker_env_seed,
 )
@@ -156,8 +153,6 @@ __all__ = [
     "AsyncCollector",
     "AsyncCollectStats",
     "CollectorWorker",
-    "FleetGroup",
-    "HeteroFleet",
     "parse_fleet_spec",
     "worker_env_seed",
     "TrainingConfig",

@@ -1,16 +1,16 @@
-"""The unified round-scheduler: one place that drives every training schedule.
+"""The round scheduler: the one place that drives every training schedule.
 
 FIXAR's headline claim is *adaptive parallelism* — the platform reshapes how
-work is scheduled onto the accelerator as the workload changes.  Before this
-subsystem existed, the round schedules lived inline (and duplicated) in
-:func:`~repro.rl.training.train` and :func:`~repro.rl.training.train_fleet`;
-now both entry points are thin wrappers over one :class:`RoundScheduler`
-that drives one or more collector groups through a pluggable
+work is scheduled onto the accelerator as the workload changes.  A run is a
+list of :class:`ScheduledGroup` s (built once, in
+:mod:`repro.rl.training`); one :class:`RoundScheduler` drives them — one
+group for :func:`~repro.rl.training.train`, N for
+:func:`~repro.rl.training.train_fleet` — through a pluggable
 :class:`SchedulePolicy`:
 
-* :class:`SequentialPolicy` — collect a round, then consume it.  Bit-exact
-  with the historical ``pipeline_depth == 0`` loop (and through it with the
-  whole oracle chain down to ``train_scalar_reference``).
+* :class:`SequentialPolicy` — collect a round, then consume it.  The
+  ``pipeline_depth == 0`` oracle: bit-exact with ``train_scalar_reference``
+  at one worker and one environment.
 * :class:`PipelinedPolicy` — the bounded-staleness overlap: the fleet
   collects round ``k+1 .. k+depth`` while the learner is still consuming
   round ``k``.  ``PipelinedPolicy(0)`` degenerates to the sequential
@@ -160,10 +160,8 @@ class SchedulePolicy:
 class SequentialPolicy(SchedulePolicy):
     """Collect one round per group in spec order, then consume it.
 
-    This is the historical ``pipeline_depth == 0`` schedule, preserved as
-    the behavioral oracle: the refactored :func:`~repro.rl.training.train`
-    under this policy is bit-exact with the pre-scheduler loop (pinned by
-    ``tests/test_scheduler.py``).
+    The ``pipeline_depth == 0`` schedule and the behavioral oracle of every
+    other policy (pinned by ``tests/test_scheduler.py``).
     """
 
     name = "sequential"
@@ -559,7 +557,7 @@ def resolve_assignment(config, pool=None) -> DeviceAssignmentPolicy:
 
 @dataclass
 class ScheduleOutcome:
-    """What one scheduled run produced, keyed the way the wrappers need it."""
+    """What one scheduled run produced, keyed by group."""
 
     #: Environment steps actually collected (whole rounds, fleet-wide).
     total_timesteps: int = 0
@@ -584,8 +582,7 @@ class ScheduleOutcome:
 class RoundScheduler:
     """Drives collector groups through a policy's round schedule.
 
-    This is the single home of the round/drain/update/evaluate bookkeeping
-    that used to live inline (twice) in ``train()`` and ``train_fleet()``:
+    The single home of the round/drain/update/evaluate bookkeeping:
 
     1. advance the QAT controller by the round's environment steps;
     2. **collect** — each group runs its policy-weighted number of
@@ -613,8 +610,8 @@ class RoundScheduler:
     on_evaluation:
         Optional callback ``(evaluated_step, metrics_by_key)`` fired after
         each evaluation boundary; ``metrics_by_key`` maps each group key to
-        ``{"average_return", "episodes"}``.  The training wrappers adapt
-        this to their public ``progress_callback`` shapes.
+        ``{"average_return", "episodes"}``.  The training entry points
+        adapt this to their public ``progress_callback`` shapes.
     restart_shared_env:
         Single-group compatibility hook for the scalar loop's
         shared-evaluation-environment semantics: restart every worker's

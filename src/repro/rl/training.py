@@ -1,42 +1,45 @@
-"""The DDPG/TD3 training loop used by every Fig. 7 experiment.
+"""Training entry points: one run builder, one scheduler, two result shapes.
 
-One loop iteration corresponds to one platform timestep (paper Fig. 3): the
-actor selects a (noisy) action for the current state, the environment
-advances and returns the reward and next state, the transition is stored in
-the replay buffer, and a random batch is used to update the critic and actor
-networks.  A :class:`~repro.rl.qat.QATController` may be attached to switch
-the activation precision at the quantization delay.
+One platform timestep (paper Fig. 3) is: the actor selects a noisy action
+for the current state, the environment returns the reward and next state,
+the transition is stored in the replay buffer, and a random batch updates
+the critic and actor; a precision driver (Algorithm 1's
+:class:`~repro.rl.qat.QATController` or a
+:class:`~repro.rl.precision.PrecisionPolicy`) may switch the activation
+precision at the quantization delay.
 
-Since the vectorized-rollout refactor, :func:`train` drives a
-:class:`~repro.rl.rollout.RolloutEngine` over a
-:class:`~repro.envs.vector.VectorEnv`: each lock-step selects actions for
-all ``num_envs`` environments with one batched actor inference, then runs
-one agent update per collected environment step, so the update-to-data ratio
-matches the scalar loop at every ``num_envs``.  With ``num_envs == 1`` the
-loop consumes every RNG stream in exactly the scalar order —
-:func:`train_scalar_reference` preserves the pre-refactor loop verbatim as
-the oracle the regression tests compare against.
+A run is a list of *groups* — one benchmark's workers, learner agent, replay
+buffer, curve and evaluation environment — built and run in one place:
 
-Since the round-scheduler refactor, the schedules themselves — sequential,
-pipelined (``TrainingConfig.pipeline_depth`` / ``schedule="pipelined"``),
-and throughput-weighted (``schedule="weighted"``) — live in
-:mod:`repro.rl.scheduler`: :func:`train` and :func:`train_fleet` are thin
-wrappers that build :class:`~repro.rl.scheduler.ScheduledGroup` s and run
-them through a :class:`~repro.rl.scheduler.RoundScheduler`.  Every
-schedule is emulated deterministically in one thread, the sequential
-policy stays bit-exact with the pre-scheduler loop (and through it with
-:func:`train_scalar_reference`), and ``pipeline_depth`` bounds the
-staleness window exactly as before.
+* :func:`_build_groups` turns resolved :class:`_GroupPlan` s into
+  :class:`~repro.rl.scheduler.ScheduledGroup` s (the only worker loop:
+  global worker ids, cumulative environment-seed offsets, warmup split over
+  all workers, one replay buffer and collector per group);
+* :func:`_run_groups` wires the profiler, resets the engines, runs the one
+  :class:`~repro.rl.scheduler.RoundScheduler` — every schedule lives in
+  :mod:`repro.rl.scheduler` — and shapes one :class:`TrainingResult` per
+  group.
+
+:func:`train_fleet` is "validate the agents against ``config.fleet``,
+resolve the device assignment, N groups" and returns a
+:class:`FleetTrainingResult`; :func:`train` is the one-group case and
+returns that group's :class:`TrainingResult`.  They differ in one place:
+with ``num_workers == 1`` :func:`train`'s worker acts through the learner's
+own agent, noise and warmup stream (the shared-agent fast path), which at
+``num_envs == 1`` consumes every RNG stream in the scalar loop's order —
+:func:`train_scalar_reference` keeps that loop verbatim as the oracle the
+regression tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..envs.base import Environment
+from ..envs.registry import benchmark_dimensions
 from ..envs.registry import make as make_registered_env
 from ..envs.vector import VectorEnv
 from ..nn import DynamicFixedPointNumerics
@@ -51,10 +54,11 @@ from .scheduler import (
     ASSIGNMENTS,
     RoundScheduler,
     ScheduledGroup,
+    ScheduleOutcome,
     resolve_assignment,
     resolve_policy,
 )
-from .workers import AsyncCollector, CollectorWorker, HeteroFleet, parse_fleet_spec
+from .workers import AsyncCollector, CollectorWorker, parse_fleet_spec
 
 #: Round-scheduling policies ``TrainingConfig.schedule`` accepts (``None``
 #: resolves from ``pipeline_depth``; see :func:`repro.rl.scheduler.resolve_policy`).
@@ -101,35 +105,25 @@ class TrainingConfig:
     num_envs: int = 1
     #: Collection workers, each owning its own ``VectorEnv`` of ``num_envs``
     #: environments (seeded ``seed + worker_id * num_envs + i``) and an actor
-    #: replica.  ``train`` schedules the workers deterministically
-    #: (round-robin synchronous mode), so runs stay reproducible; with
-    #: ``num_workers == 1`` the loop is bit-exact with the single-engine
-    #: path.  The free-running multi-process mode is exposed through
-    #: :class:`~repro.rl.workers.AsyncCollector` directly.
+    #: replica, stepped in id order so runs stay reproducible.  With
+    #: ``num_workers == 1`` the worker acts through the learner's own agent
+    #: (:func:`train`'s shared-agent fast path).
     num_workers: int = 1
     #: Environment steps between actor-weight broadcasts to the worker
     #: replicas (ignored with ``num_workers == 1``, where the worker acts
     #: through the learner's own agent).
     sync_interval: int = 1
-    #: Rounds the collector fleet may run ahead of the learner (the bounded
-    #: staleness window of the pipelined schedule).  ``0`` is the sequential
-    #: schedule — collect a round, then update on it — and stays bit-exact
-    #: with the pre-pipeline loop.  With depth ``d`` the fleet collects round
-    #: ``k+1 .. k+d`` while the learner is still consuming round ``k``, so
-    #: collection acts on weights up to ``d`` rounds stale (weight broadcasts
-    #: still honor ``sync_interval``); the learner drains the backlog at the
-    #: end of the run, so the update-to-data ratio is unchanged.
+    #: Rounds the collector fleet may run ahead of the learner — the bounded
+    #: staleness window of the pipelined schedule (semantics in
+    #: :mod:`repro.rl.scheduler`).  ``0`` is the sequential schedule: collect
+    #: a round, then update on it.
     pipeline_depth: int = 0
-    #: Heterogeneous fleet spec — ``"HalfCheetah:2,Hopper:2:8"`` or a
-    #: parsed sequence of ``(benchmark, count)`` pairs / ``(benchmark,
-    #: count, num_envs)`` triples (grammar in
+    #: Heterogeneous fleet spec — ``"HalfCheetah:2,Hopper:2:8"`` or a parsed
+    #: sequence of ``(benchmark, count[, num_envs])`` tuples (grammar in
     #: :func:`~repro.rl.workers.parse_fleet_spec`; a missing width defaults
     #: to ``num_envs``).  ``None`` (the default) is the homogeneous path
-    #: driven by ``num_workers``.  When set, the spec determines the
-    #: fleet's worker counts and per-benchmark lock-step widths,
-    #: ``num_workers`` must stay at its default of 1, and training runs
-    #: through :func:`train_fleet` (one learner agent and replay buffer per
-    #: benchmark) instead of :func:`train`.
+    #: driven by ``num_workers``.  When set, ``num_workers`` must stay at 1
+    #: and the run goes through :func:`train_fleet` instead of :func:`train`.
     fleet: Optional[Union[str, Sequence]] = None
     #: Round-scheduling policy: ``"sequential"``, ``"pipelined"``,
     #: ``"weighted"`` (throughput-weighted rounds — heterogeneous fleets
@@ -360,21 +354,6 @@ def _resolve_vector_env(
     return VectorEnv.from_template(env, config.num_envs, seed=config.seed)
 
 
-@dataclass(frozen=True)
-class _FleetGroupSpec:
-    """Lightweight group descriptor the assignment policies price.
-
-    Device assignment must be resolved *before* the fleet's workers (and
-    their platform hooks) are constructed, so the policies see these spec
-    descriptors instead of live :class:`ScheduledGroup` s — same duck shape
-    (``key`` / ``num_workers`` / ``num_envs``).
-    """
-
-    key: str
-    num_workers: int
-    num_envs: int
-
-
 def _resolve_device_pool(config: TrainingConfig, platform) -> bool:
     """Whether the platform hook is a device pool, validated against config.
 
@@ -446,6 +425,140 @@ def _resolve_precision_controller(config: TrainingConfig, agent: DDPGAgent, qat_
     return resolve_precision(config.precision, numerics, config.precision_spec)
 
 
+@dataclass(frozen=True)
+class _GroupPlan:
+    """One benchmark's slice of a run, resolved but with no workers built yet.
+
+    The device-assignment policies price it (``key`` / ``num_workers`` /
+    ``num_envs``); :func:`_build_groups` turns it into a
+    :class:`~repro.rl.scheduler.ScheduledGroup`.
+    """
+
+    key: str
+    #: Display name (the template environment's ``name``).
+    benchmark: str
+    agent: DDPGAgent
+    #: Scalar environment the workers replicate into seeded siblings.
+    template: Environment
+    num_workers: int
+    num_envs: int
+    eval_env: Environment
+    #: Learning-curve label.
+    label: str
+    #: Hook pricing each of this group's batched rollout inferences.
+    platform: object = None
+    #: :func:`train`'s ``num_workers == 1`` fast path: the one worker wraps
+    #: this engine, which acts through the learner's own agent, instead of a
+    #: replica built from ``template``.
+    shared_engine: Optional[RolloutEngine] = None
+
+
+def _build_groups(
+    plans: Sequence[_GroupPlan], config: TrainingConfig
+) -> List[ScheduledGroup]:
+    """Build every plan's workers, replay buffer and collector.
+
+    Worker ids are global in plan order; worker ``w`` seeds its environments
+    from the cumulative ``env_offset`` (the lock-step widths of all workers
+    before it — :func:`~repro.rl.workers.worker_env_seed`), and the warmup
+    budget is split evenly over the whole run's workers.
+    """
+    total_workers = sum(plan.num_workers for plan in plans)
+    per_worker_warmup = -(-config.warmup_timesteps // total_workers)
+    groups = []
+    worker_id = 0
+    env_offset = 0
+    for plan in plans:
+        agent = plan.agent
+        if plan.shared_engine is not None:
+            workers = [CollectorWorker(worker_id, plan.shared_engine, shared_agent=True)]
+            source_agent = None  # broadcasts are pointless with a shared agent
+        else:
+            workers = []
+            for _ in range(plan.num_workers):
+                workers.append(
+                    CollectorWorker.from_agent(
+                        worker_id,
+                        agent,
+                        plan.template,
+                        plan.num_envs,
+                        seed=config.seed,
+                        sigma=config.exploration_noise,
+                        warmup_timesteps=per_worker_warmup,
+                        platform=plan.platform,
+                        env_offset=env_offset,
+                    )
+                )
+                worker_id += 1
+                env_offset += plan.num_envs
+            source_agent = agent
+        buffer = ReplayBuffer(
+            config.buffer_capacity, agent.state_dim, agent.action_dim, seed=config.seed
+        )
+        collector = AsyncCollector(
+            workers, buffer, source_agent=source_agent, sync_interval=config.sync_interval
+        )
+        groups.append(
+            ScheduledGroup(
+                key=plan.key,
+                benchmark=plan.benchmark,
+                collector=collector,
+                agent=agent,
+                buffer=buffer,
+                curve=LearningCurve(plan.label),
+                eval_env=plan.eval_env,
+            )
+        )
+    return groups
+
+
+def _run_groups(
+    groups: Sequence[ScheduledGroup],
+    config: TrainingConfig,
+    policy,
+    *,
+    qat_controller,
+    platform,
+    on_evaluation,
+    profiler,
+    restart_shared_env: bool = False,
+) -> Tuple[ScheduleOutcome, List[TrainingResult]]:
+    """Run built groups through the scheduler; one result per group, in order."""
+    for group in groups:
+        if profiler is not None:
+            # One accumulator across the whole run: engines attribute the
+            # rollout stages, the buffers attribute the drain writes.
+            group.buffer.profiler = profiler
+        for worker in group.collector.workers:
+            if profiler is not None:
+                worker.engine.set_profiler(profiler)
+            worker.engine.reset()
+    outcome = RoundScheduler(
+        groups,
+        policy,
+        config,
+        qat_controller=qat_controller,
+        platform=platform,
+        on_evaluation=on_evaluation,
+        restart_shared_env=restart_shared_env,
+    ).run()
+    results = [
+        TrainingResult(
+            curve=group.curve,
+            episode_returns=group.collector.episode_returns,
+            qat_event=outcome.qat_event,
+            total_timesteps=outcome.steps_by_key[group.key],
+            total_updates=outcome.updates_by_key[group.key],
+            num_envs=group.num_envs,
+            num_workers=group.num_workers,
+            pipeline_depth=config.pipeline_depth,
+            replay_buffer=group.buffer,
+        )
+        for group in groups
+    ]
+    return outcome, results
+
+
 def train(
     env: Union[Environment, VectorEnv],
     agent: DDPGAgent,
@@ -460,90 +573,64 @@ def train(
     policy=None,
     profiler=None,
 ) -> TrainingResult:
-    """Run the training loop through the vectorized rollout engine.
+    """Train one agent on one benchmark: the one-group run.
 
     Parameters
     ----------
     env:
-        Training environment — a scalar :class:`Environment` (wrapped, and
-        for ``config.num_envs > 1`` replicated into seeded siblings) or a
-        ready-made :class:`VectorEnv`.
+        Training environment — a scalar :class:`Environment` (replicated
+        into seeded siblings as needed) or, with one worker, a ready-made
+        :class:`VectorEnv`.
     agent:
         The DDPG (or TD3) agent to train in place.
     config:
-        Loop configuration, including ``num_envs``.
+        Loop configuration.  ``total_timesteps`` rounds up to whole rounds
+        of ``num_envs * num_workers`` steps (``result.total_timesteps``).
     eval_env:
-        Separate environment for evaluations.  By default a fresh instance
-        of the training benchmark is created; when that is impossible the
-        first training environment is shared, exactly like the scalar loop.
+        Evaluation environment; by default a fresh instance of the training
+        benchmark.  When that cannot be built the single worker's first
+        training environment is shared, exactly like the scalar loop —
+        legal under the sequential schedule only.
     qat_controller:
         Optional Algorithm 1 controller (or any
         :class:`~repro.rl.precision.PrecisionPolicy`) switching activation
         precision; ``config.precision`` resolves one by name instead.
     noise:
-        Exploration noise process (defaults to Gaussian with the configured
-        standard deviation).
+        The single worker's exploration noise (default: Gaussian at
+        ``config.exploration_noise``); rejected with ``num_workers > 1``.
     label:
         Learning-curve label (defaults to the agent's numeric regime name).
     progress_callback:
-        Optional ``callback(timestep, metrics)`` invoked after each evaluation.
+        Optional ``callback(timestep, metrics)`` invoked after each
+        evaluation with ``{"average_return", "episodes", "activation_bits"}``.
     platform:
         Optional :class:`~repro.platform.FixarPlatform` whose
-        ``infer_batch`` prices each batched rollout inference (accumulated on
-        the returned engine statistics); also the weighted schedule's cost
-        oracle.
+        ``infer_batch`` prices each batched rollout inference; also the
+        weighted schedule's cost oracle.  An
+        :class:`~repro.platform.AcceleratorPool` at the same hook (matching
+        ``config.devices`` / ``config.placement``) shards every batch over
+        its collection devices; ``config.assignment`` is validated against
+        the one group with the errors :func:`train_fleet` raises.
     policy:
         Optional explicit :class:`~repro.rl.scheduler.SchedulePolicy`
-        overriding the one ``config.schedule`` / ``config.pipeline_depth``
-        resolve to.
+        overriding the one ``config`` resolves to.
     profiler:
-        Optional :class:`~repro.rl.profiling.StageTimers` accumulator wired
-        through every collection engine and the shared replay buffer
-        (the CLIs' ``--profile``).  Profiling only brackets the existing
-        rollout stages with ``perf_counter`` reads — trajectories stay
-        bit-identical.
+        Optional :class:`~repro.rl.profiling.StageTimers` wired through
+        every collection engine and the replay buffer; bit-neutral.
 
-    With ``num_envs == 1`` (and one worker) this reproduces
-    :func:`train_scalar_reference` bit for bit under a fixed seed.  With N
-    environments each lock-step collects N transitions with one batched
-    inference and then performs one agent update per transition collected
-    past warmup, keeping the update-to-data ratio of the scalar loop;
-    evaluations fire whenever the global step counter crosses an
-    ``evaluation_interval`` boundary, and ``total_timesteps`` rounds up to a
-    whole number of rounds (the actual count lands in
-    ``result.total_timesteps``).
+    Schedule semantics (rounds, updates per collected step, evaluation
+    cadence, bounded staleness) are documented in :mod:`repro.rl.scheduler`.
 
-    With ``config.num_workers > 1`` experience collection runs through an
-    :class:`~repro.rl.workers.AsyncCollector` fleet: worker ``w`` owns a
-    fresh ``VectorEnv`` of ``num_envs`` siblings of the (scalar) training
-    environment seeded ``seed + w * num_envs + i``, acts through its own
-    actor replica refreshed every ``config.sync_interval`` steps, and the
-    workers are stepped round-robin (the deterministic synchronous mode), so
-    the run is reproducible.  Warmup is split evenly across the fleet
-    (``ceil(warmup_timesteps / num_workers)`` per worker), and the replicas
-    share the learner's numerics object, so a QAT precision switch applies
-    to collection immediately.
-
-    With ``config.pipeline_depth > 0`` the loop runs the *pipelined*
-    schedule: the fleet collects round ``k+1`` (through ``k+depth``) while
-    the learner is still draining round ``k``'s transitions and running its
-    updates, so on the modelled platform the two phases overlap
-    (:meth:`~repro.platform.FixarPlatform.pipelined_round_seconds` prices a
-    round as ``max(collection, update)`` instead of their sum).  The overlap
-    is emulated deterministically in one thread, so runs stay reproducible;
-    the visible semantic difference from the sequential schedule is bounded
-    staleness — collection acts on actor weights up to ``pipeline_depth``
-    rounds older than the learner's (broadcasts still honor
-    ``sync_interval``), while updates see exactly the same replay data
-    availability as the sequential schedule (round ``k``'s transitions are
-    drained before round ``k``'s updates sample the buffer) and the
-    remaining in-flight rounds are drained at the end of the run.  A
-    training environment that would have to double as the evaluation
-    environment is rejected under this schedule (the post-evaluation episode
-    restarts cannot fire at the right point of the overlapped collection
-    timeline) — pass an explicit ``eval_env``.  ``pipeline_depth == 0``
-    remains bit-exact with the pre-pipeline loop and is the oracle the
-    pipelined regression tests compare against.
+    Equivalences.  With ``num_workers == 1`` the worker acts through the
+    learner's own agent, noise process and ``default_rng(seed)`` warmup
+    stream — the shared-agent fast path, the one place this entry point
+    differs from a one-group :func:`train_fleet` — which at
+    ``num_envs == 1`` reproduces :func:`train_scalar_reference` bit for bit.
+    With ``num_workers = N >= 2`` the run is bit-exact with ``train_fleet``
+    on the spec ``"B:N"``: worker ``w`` steps fresh siblings of ``env``
+    seeded ``seed + w * num_envs + i`` through its own actor replica and
+    ``(seed, w, stream)`` noise/warmup streams, with
+    ``ceil(warmup_timesteps / N)`` warmup steps each.
     """
     if config.fleet is not None:
         raise ValueError(
@@ -551,19 +638,27 @@ def train(
             "one learner agent and replay buffer per benchmark — call "
             "train_fleet(agents, config) instead of train(env, agent, config)"
         )
-    # A device pool drops in at the same hook: the engine's batched
-    # inferences shard across the pool's collection devices through the
-    # unchanged ``infer_batch`` joint (a 1-device pool is bit-exact with
-    # the single platform).
-    _resolve_device_pool(config, platform)
+    is_pool = _resolve_device_pool(config, platform)
     qat_controller = _resolve_precision_controller(config, agent, qat_controller)
-    rng = np.random.default_rng(config.seed)
-    num_workers = config.num_workers
+    if policy is None:
+        policy = resolve_policy(config, platform)
 
-    if num_workers == 1:
+    shared_engine = None
+    if config.num_workers == 1:
         vec_env = _resolve_vector_env(env, config)
-        num_envs = vec_env.num_envs
-        evaluation_template = vec_env.envs[0]
+        template, num_envs = vec_env.envs[0], vec_env.num_envs
+        # The exact PR-1 engine path, which is what keeps this mode
+        # bit-exact with train_scalar_reference at num_envs == 1.
+        shared_engine = RolloutEngine(
+            vec_env,
+            agent,
+            buffer=None,
+            noise=noise
+            or GaussianNoise(agent.action_dim, config.exploration_noise, seed=config.seed),
+            warmup_timesteps=config.warmup_timesteps,
+            rng=np.random.default_rng(config.seed),
+            platform=platform,
+        )
     else:
         if isinstance(env, VectorEnv):
             raise ValueError(
@@ -577,139 +672,127 @@ def train(
                 "process; a single shared noise instance cannot be "
                 "partitioned — configure exploration_noise instead"
             )
-        num_envs = config.num_envs
-        evaluation_template = env
+        template, num_envs = env, config.num_envs
 
     shares_training_env = False
-    if eval_env is not None:
-        evaluation_env = eval_env
-    else:
+    if eval_env is None:
         # Prefer a fresh instance of the same benchmark so evaluations do not
         # disturb the training episodes; fall back to sharing when the
-        # environment cannot be default-constructed.
-        evaluation_env, shares_training_env = _resolve_evaluation_env(
-            evaluation_template, config
-        )
-    if num_workers > 1:
-        # The workers step fresh replicas, never the template itself, so even
-        # a "shared" template is safe to evaluate on: no in-flight training
-        # episode is disturbed and no restart is needed.
-        shares_training_env = False
-    if policy is None:
-        policy = resolve_policy(config, platform)
+        # environment cannot be default-constructed.  Replica workers step
+        # fresh siblings, never the template itself, so only the shared-agent
+        # path has in-flight episodes an evaluation could disturb.
+        eval_env, shared = _resolve_evaluation_env(template, config)
+        shares_training_env = shared and shared_engine is not None
     if shares_training_env and policy.depth > 0:
-        # Sharing the training env with evaluation forces an episode restart
-        # after every evaluation, but under the pipelined schedule the fleet
-        # has already collected up to ``pipeline_depth`` rounds past the
-        # evaluated boundary — those rounds would continue the disturbed
-        # episodes, diverging from the sequential schedule in ways beyond the
-        # documented weight staleness.  Refuse instead of silently diverging.
+        # The rounds already collected past the evaluated boundary would
+        # continue the disturbed episodes: refuse instead of diverging.
         raise ValueError(
             "pipeline_depth > 0 cannot share the training environment with "
             "evaluation (the fleet collects past each evaluation boundary "
             "before the restart fires); pass an explicit eval_env"
         )
-    buffer = ReplayBuffer(
-        config.buffer_capacity, agent.state_dim, agent.action_dim, seed=config.seed
-    )
-    curve = LearningCurve(label or agent.numerics.name)
-    result = TrainingResult(
-        curve=curve,
-        num_envs=num_envs,
-        num_workers=num_workers,
-        pipeline_depth=config.pipeline_depth,
-        replay_buffer=buffer,
-    )
 
-    if num_workers == 1:
-        # The single worker acts through the learner's own agent and noise —
-        # the exact PR-1 engine path, which is what keeps this mode bit-exact
-        # with train_scalar_reference at num_envs == 1.
-        noise = noise or GaussianNoise(
-            agent.action_dim, config.exploration_noise, seed=config.seed
-        )
-        engine = RolloutEngine(
-            vec_env,
-            agent,
-            buffer=None,
-            noise=noise,
-            warmup_timesteps=config.warmup_timesteps,
-            rng=rng,
-            platform=platform,
-        )
-        workers = [CollectorWorker(0, engine, shared_agent=True)]
-        source_agent = None  # broadcasts are pointless with a shared agent
-    else:
-        per_worker_warmup = -(-config.warmup_timesteps // num_workers)
-        workers = [
-            CollectorWorker.from_agent(
-                worker_id,
-                agent,
-                env,
-                num_envs,
-                seed=config.seed,
-                sigma=config.exploration_noise,
-                warmup_timesteps=per_worker_warmup,
-                platform=platform,
-            )
-            for worker_id in range(num_workers)
-        ]
-        source_agent = agent
-    collector = AsyncCollector(
-        workers, buffer, source_agent=source_agent, sync_interval=config.sync_interval
-    )
-    if profiler is not None:
-        # One accumulator across the whole fleet: engines attribute the
-        # rollout stages, the shared buffer attributes the drain writes.
-        buffer.profiler = profiler
-        for worker in workers:
-            worker.engine.set_profiler(profiler)
-    for worker in workers:
-        worker.engine.reset()
-
-    # All round/drain/update/evaluate bookkeeping lives in the scheduler
-    # subsystem; this wrapper only adapts the single-benchmark result shape.
-    group_key = str(getattr(evaluation_template, "name", "train")).lower()
-    group = ScheduledGroup(
-        key=group_key,
-        benchmark=getattr(evaluation_template, "name", group_key),
-        collector=collector,
+    key = str(getattr(template, "name", "train")).lower()
+    plan = _GroupPlan(
+        key=key,
+        benchmark=getattr(template, "name", key),
         agent=agent,
-        buffer=buffer,
-        curve=curve,
-        eval_env=evaluation_env,
+        template=template,
+        num_workers=config.num_workers,
+        num_envs=num_envs,
+        eval_env=eval_env,
+        label=label or agent.numerics.name,
+        platform=platform,
+        shared_engine=shared_engine,
     )
+    if is_pool:
+        # Validation only (unknown benchmark, non-collection device): the
+        # one group's batches shard over the whole pool through the
+        # unchanged ``infer_batch`` joint, whatever device it is dealt.
+        resolve_assignment(config, platform).assign([plan], platform)
 
     on_evaluation = None
     if progress_callback is not None:
 
         def on_evaluation(evaluated_step: int, metrics: Dict[str, dict]) -> None:
-            group_metrics = metrics[group.key]
             progress_callback(
                 evaluated_step,
-                {
-                    "average_return": group_metrics["average_return"],
-                    "episodes": group_metrics["episodes"],
-                    "activation_bits": agent.numerics.activation_bits,
-                },
+                {**metrics[key], "activation_bits": agent.numerics.activation_bits},
             )
 
-    scheduler = RoundScheduler(
-        [group],
-        policy,
+    _outcome, (result,) = _run_groups(
+        _build_groups([plan], config),
         config,
+        policy,
         qat_controller=qat_controller,
         platform=platform,
         on_evaluation=on_evaluation,
+        profiler=profiler,
         restart_shared_env=shares_training_env,
     )
-    outcome = scheduler.run()
-
-    result.qat_event = outcome.qat_event
-    result.total_updates = outcome.total_updates
-    result.episode_returns = collector.episode_returns
-    result.total_timesteps = outcome.total_timesteps
     return result
+
+
+def _fleet_plans(
+    agents: Mapping[str, DDPGAgent],
+    config: TrainingConfig,
+    *,
+    env_templates: Optional[Mapping[str, Environment]] = None,
+    eval_envs: Optional[Mapping[str, Environment]] = None,
+    label: Optional[str] = None,
+) -> List[_GroupPlan]:
+    """One plan per ``config.fleet`` entry, with ``agents`` validated against it.
+
+    Mapping names are matched case-insensitively.  Every spec benchmark
+    needs an agent (and no agent may be left over), and each agent's
+    ``(state_dim, action_dim)`` must match the registry's
+    :func:`~repro.envs.registry.benchmark_dimensions`.
+    """
+    agents_by_key = {str(name).lower(): agent for name, agent in dict(agents).items()}
+    if len(agents_by_key) != len(dict(agents)):
+        raise ValueError("agents mapping has case-colliding benchmark names")
+    fleet_spec = parse_fleet_spec(config.fleet, default_width=config.num_envs)
+    spec_keys = [key for key, _count, _width in fleet_spec]
+    missing = [key for key in spec_keys if key not in agents_by_key]
+    if missing:
+        raise ValueError(f"agents mapping is missing fleet benchmarks: {missing}")
+    extra = sorted(set(agents_by_key) - set(spec_keys))
+    if extra:
+        raise ValueError(f"agents mapping names benchmarks outside the fleet: {extra}")
+    templates = {str(name).lower(): env for name, env in dict(env_templates or {}).items()}
+    given_eval = {str(name).lower(): env for name, env in dict(eval_envs or {}).items()}
+
+    plans = []
+    for key, count, width in fleet_spec:
+        agent = agents_by_key[key]
+        dims = benchmark_dimensions(key)
+        if (agent.state_dim, agent.action_dim) != (dims["state_dim"], dims["action_dim"]):
+            raise ValueError(
+                f"agent for {key!r} has dims "
+                f"({agent.state_dim}, {agent.action_dim}); the benchmark needs "
+                f"({dims['state_dim']}, {dims['action_dim']})"
+            )
+        template = templates.get(key)
+        if template is None:
+            template = make_registered_env(key)
+        eval_env = given_eval.get(key)
+        if eval_env is None:
+            # No worker ever steps the template (they step fresh siblings),
+            # so even the sharing fallback cannot disturb a training episode.
+            eval_env, _shared = _resolve_evaluation_env(template, config)
+        plans.append(
+            _GroupPlan(
+                key=key,
+                benchmark=template.name,
+                agent=agent,
+                template=template,
+                num_workers=count,
+                num_envs=width,
+                eval_env=eval_env,
+                label=f"{label or agent.numerics.name}/{template.name}",
+            )
+        )
+    return plans
 
 
 def train_fleet(
@@ -727,89 +810,68 @@ def train_fleet(
 ) -> FleetTrainingResult:
     """Train per-benchmark learners over one heterogeneous collector fleet.
 
-    ``config.fleet`` names the fleet (grammar in
-    :func:`~repro.rl.workers.parse_fleet_spec`): each spec entry
-    ``benchmark:count`` contributes ``count`` workers, each stepping its own
-    ``VectorEnv`` of ``config.num_envs`` environments of that benchmark.
-    Worker ids are global in spec order, so every worker keeps the
-    deterministic ``seed + worker_id * num_envs + i`` environment scheme and
-    the ``(seed, worker_id, stream)`` noise/warmup streams of the
-    homogeneous collector — a single-benchmark spec ``B:N`` is *bit-exact*
-    with ``train(env, agent, config(num_workers=N))`` for ``N >= 2`` (the
-    replica path; ``num_workers == 1`` takes the shared-agent fast path,
-    which consumes the learner's own noise/warmup streams instead).
+    Each ``config.fleet`` entry ``benchmark:count[:num_envs]`` (grammar in
+    :func:`~repro.rl.workers.parse_fleet_spec`) is one group: ``count``
+    workers stepping ``num_envs`` environments of that benchmark each, one
+    learner agent, one replay buffer.
 
     Parameters
     ----------
     agents:
         One learner agent per fleet benchmark (names matched
-        case-insensitively, no extras).  Each agent must match the
-        benchmark's registered ``(state_dim, action_dim)``, and all agents
-        must share **one numerics object** so a QAT precision switch applies
-        to every benchmark's networks (and collection replicas) at once.
+        case-insensitively, no extras), each matching its benchmark's
+        registered ``(state_dim, action_dim)``.  All agents must share **one
+        numerics object** so a QAT precision switch applies to every
+        benchmark's networks (and collection replicas) at once.
     config:
-        Loop configuration; ``config.fleet`` must be set and
-        ``config.num_workers`` left at 1.  ``total_timesteps`` rounds up to
-        whole fleet rounds of ``num_envs * total_workers`` steps.
-    env_templates:
+        Loop configuration with ``config.fleet`` set and ``num_workers`` left
+        at 1.  ``total_timesteps`` rounds up to whole fleet rounds.
+    env_templates, eval_envs:
         Optional per-benchmark template environments (workers step fresh
-        seeded replicas); benchmarks without one use ``registry.make``.
-    eval_envs:
-        Optional per-benchmark evaluation environments; by default a fresh
-        instance of each benchmark is created, exactly like :func:`train`.
+        seeded replicas; default ``registry.make``) and evaluation
+        environments (default: a fresh instance, exactly like :func:`train`).
     qat_controller:
-        Optional shared Algorithm 1 controller (or any
-        :class:`~repro.rl.precision.PrecisionPolicy`; ``config.precision``
-        resolves one by name).  It counts fleet-wide environment steps, so
-        precision switches land on the same global timestep as an
-        equivalent homogeneous run.
+        Optional shared precision driver, as in :func:`train`.  It counts
+        fleet-wide environment steps, so a switch lands on the same global
+        timestep as in an equivalent homogeneous run.
     label:
         Learning-curve label prefix; each benchmark's curve is labelled
         ``"<label>/<benchmark>"`` (default: the shared numerics name).
     progress_callback:
         Optional ``callback(timestep, metrics)`` invoked after each
-        evaluation boundary with per-benchmark
-        ``{"average_return", "episodes"}`` metrics plus the shared
-        ``"activation_bits"``.
+        evaluation boundary with ``{"benchmarks": {name:
+        {"average_return", "episodes"}}, "activation_bits"}``.
     platform:
-        Optional :class:`~repro.platform.FixarPlatform`.  Because layer
-        dimensions differ per benchmark, the platform is re-targeted per
-        benchmark (``platform.for_benchmark``) so every worker's batched
-        inferences are priced under its own workload — the heterogeneous
-        accounting :meth:`~repro.platform.FixarPlatform.infer_fleet`
-        aggregates.  Also the throughput-weighted schedule's cost oracle.
-        An :class:`~repro.platform.AcceleratorPool` drops in at the same
-        hook (``config.devices`` / ``config.placement`` must match it):
-        the per-benchmark device affinity is resolved through the
-        :class:`~repro.rl.scheduler.DeviceAssignmentPolicy` the
-        ``config.assignment`` knob selects, each group's workers price
-        their batches on their assigned device, and the resolved affinity
-        lands in ``FleetTrainingResult.assignment``.  Devices change only
-        the modelled pricing — training numerics are identical at every
-        pool size.
-    policy:
-        Optional explicit :class:`~repro.rl.scheduler.SchedulePolicy`
-        overriding the one ``config.schedule`` / ``config.pipeline_depth``
-        resolve to (e.g. a :class:`ThroughputWeightedPolicy` with explicit
-        weights).
-    profiler:
-        Optional :class:`~repro.rl.profiling.StageTimers` accumulator wired
-        through every group's collection engines and replay buffer — one
-        fleet-wide wall-clock breakdown, exactly like :func:`train`.
+        Optional :class:`~repro.platform.FixarPlatform`, re-targeted per
+        group (``for_benchmark``) so every worker prices its batched
+        inferences under its own layer dimensions; also the weighted
+        schedule's cost oracle.  With an
+        :class:`~repro.platform.AcceleratorPool` (matching
+        ``config.devices`` / ``config.placement``) the
+        :class:`~repro.rl.scheduler.DeviceAssignmentPolicy` selected by
+        ``config.assignment`` maps each group to a device before any worker
+        is built, the group's workers price on that device, and the
+        affinity lands in ``FleetTrainingResult.assignment``.  Devices
+        change only the modelled pricing, never the training numerics.
+    policy, profiler:
+        As in :func:`train`.
 
-    The training schedule is the deterministic round schedule of
-    :func:`train`, generalized across benchmark groups: each round, groups
-    collect one lock-step per worker in spec order, then each group's
-    learner runs one update per environment step its workers collected past
-    warmup (sampling its own buffer), then evaluations fire at every crossed
-    ``evaluation_interval`` boundary — one curve point per benchmark.  With
-    ``config.pipeline_depth > 0`` the fleet runs up to that many rounds
-    ahead of the learners, exactly like the homogeneous pipelined schedule.
+    The groups run, in spec order, through the same round schedule as
+    :func:`train`'s one group (:mod:`repro.rl.scheduler`).
+
+    Equivalences.  Worker ids are global in spec order, so every worker
+    keeps the ``seed + env_offset + i`` environment seeds and ``(seed,
+    worker_id, stream)`` noise/warmup streams of :func:`train`'s replica
+    workers: a single-benchmark spec ``"B:N"`` is *bit-exact* with
+    ``train(env, agent, config(num_workers=N))`` for ``N >= 2``.  ``"B:1"``
+    is still the replica path, *not* ``train(num_workers=1)``'s
+    shared-agent fast path.  On a pool of two or more devices the two entry
+    points agree on the training numerics but not on
+    ``modelled_platform_seconds``: a fleet group prices on its one assigned
+    device, ``train`` shards every batch over the pool.
     """
     if config.fleet is None:
         raise ValueError("train_fleet needs config.fleet; for homogeneous runs call train")
-    fleet_spec = parse_fleet_spec(config.fleet, default_width=config.num_envs)
-
     numerics_objects = {id(agent.numerics) for agent in dict(agents).values()}
     if len(numerics_objects) > 1:
         raise ValueError(
@@ -824,176 +886,79 @@ def train_fleet(
                 "qat_controller is bound to a different numerics object than "
                 "the fleet's agents; share one instance across both"
             )
-    first_agent = next(iter(dict(agents).values()))
-    qat_controller = _resolve_precision_controller(config, first_agent, qat_controller)
+    plans = _fleet_plans(
+        agents, config, env_templates=env_templates, eval_envs=eval_envs, label=label
+    )
+    numerics = plans[0].agent.numerics
+    qat_controller = _resolve_precision_controller(config, plans[0].agent, qat_controller)
 
-    total_workers = sum(count for _, count, _width in fleet_spec)
-    per_worker_warmup = -(-config.warmup_timesteps // total_workers)
-    agents_by_key = {str(name).lower(): agent for name, agent in dict(agents).items()}
-    platforms = None
-    assignment_by_key: Dict[str, int] = {}
+    assignment: Dict[str, int] = {}
     is_pool = _resolve_device_pool(config, platform)
     if is_pool:
-        # Resolve the per-benchmark device affinity once, up front (from
-        # the spec descriptors — the workers are not built yet), then bind
-        # it onto the pool so the weighted policy's oracle and every
-        # fleet_* report price the round actually scheduled.
-        assignment_policy = resolve_assignment(config, platform)
-        descriptors = [
-            _FleetGroupSpec(key, count, width if width else config.num_envs)
-            for key, count, width in fleet_spec
+        # Resolve the per-benchmark device affinity before any worker is
+        # built, then bind it onto the pool so the weighted policy's oracle
+        # and every fleet_* report price the round actually scheduled.
+        devices = resolve_assignment(config, platform).assign(plans, platform)
+        assignment = {plan.key: device for plan, device in zip(plans, devices)}
+        platform = platform.with_assignment(assignment)
+    if platform is not None:
+        # Each group's workers price their inferences under their own layer
+        # dimensions — on a pool, on their assigned device.
+        plans = [
+            replace(
+                plan,
+                platform=(
+                    platform.device(assignment[plan.key]) if is_pool else platform
+                ).for_benchmark(
+                    plan.key, hidden_sizes=tuple(plan.agent.config.hidden_sizes)
+                ),
+            )
+            for plan in plans
         ]
-        device_indices = assignment_policy.assign(descriptors, platform)
-        assignment_by_key = {
-            key: device
-            for (key, _count, _width), device in zip(fleet_spec, device_indices)
-        }
-        platform = platform.with_assignment(assignment_by_key)
-        # Each group's workers price their inferences on their *assigned*
-        # device, re-targeted to their own layer dimensions.
-        platforms = {
-            key: platform.device(assignment_by_key[key]).for_benchmark(
-                key, hidden_sizes=tuple(agents_by_key[key].config.hidden_sizes)
-            )
-            for key, _count, _width in fleet_spec
-            if key in agents_by_key
-        }
-    elif platform is not None:
-        # Re-target the platform per benchmark: each group's workers price
-        # their batched inferences under their own layer dimensions.  Keys
-        # missing from the agents mapping are skipped here so that
-        # HeteroFleet.from_agents raises its (clearer) coverage error.
-        platforms = {
-            key: platform.for_benchmark(
-                key, hidden_sizes=tuple(agents_by_key[key].config.hidden_sizes)
-            )
-            for key, _count, _width in fleet_spec
-            if key in agents_by_key
-        }
-    fleet = HeteroFleet.from_agents(
-        fleet_spec,
-        agents,
-        num_envs=config.num_envs,
-        buffer_capacity=config.buffer_capacity,
-        seed=config.seed,
-        sigma=config.exploration_noise,
-        warmup_timesteps=per_worker_warmup,
-        sync_interval=config.sync_interval,
-        env_templates=env_templates,
-        platforms=platforms,
-    )
-    if profiler is not None:
-        for fleet_group in fleet.groups:
-            fleet_group.buffer.profiler = profiler
-            for worker in fleet_group.collector.workers:
-                worker.engine.set_profiler(profiler)
-    fleet.reset()
-
-    eval_envs_by_key: Dict[str, Environment] = {}
-    given_eval = {str(k).lower(): v for k, v in dict(eval_envs or {}).items()}
-    templates_by_key = {str(k).lower(): v for k, v in dict(env_templates or {}).items()}
-    for group in fleet.groups:
-        if group.key in given_eval:
-            eval_envs_by_key[group.key] = given_eval[group.key]
-        else:
-            template = templates_by_key.get(group.key)
-            if template is None:
-                # Never fall back to a live worker env: if the benchmark's
-                # class cannot be default-constructed, _resolve_evaluation_env
-                # would *share* the template, and sharing a worker's env would
-                # let evaluations step in-flight training episodes.  A fresh
-                # registry build is inert — no worker ever steps it — so even
-                # the sharing fallback is safe, same as train(num_workers > 1)
-                # with a caller-owned template.
-                template = make_registered_env(group.key)
-            eval_envs_by_key[group.key], _ = _resolve_evaluation_env(template, config)
-
-    base_label = label
-    if base_label is None:
-        base_label = next(iter(agents_by_key.values())).numerics.name
-    curves = {
-        group.key: LearningCurve(f"{base_label}/{group.benchmark}")
-        for group in fleet.groups
-    }
-
-    # The round schedule itself — sequential, pipelined, or throughput
-    # weighted — lives in the scheduler subsystem; this wrapper only builds
-    # the per-benchmark groups and adapts the result/callback shapes.
-    groups = [
-        ScheduledGroup(
-            key=group.key,
-            benchmark=group.benchmark,
-            collector=group.collector,
-            agent=group.agent,
-            buffer=group.buffer,
-            curve=curves[group.key],
-            eval_env=eval_envs_by_key[group.key],
-        )
-        for group in fleet.groups
-    ]
-    display_names = {group.key: group.benchmark for group in fleet.groups}
+    if policy is None:
+        policy = resolve_policy(config, platform)
 
     on_evaluation = None
     if progress_callback is not None:
 
         def on_evaluation(evaluated_step: int, metrics: Dict[str, dict]) -> None:
-            activation_bits = next(
-                iter(agents_by_key.values())
-            ).numerics.activation_bits
             progress_callback(
                 evaluated_step,
                 {
-                    "benchmarks": {
-                        display_names[key]: key_metrics
-                        for key, key_metrics in metrics.items()
-                    },
-                    "activation_bits": activation_bits,
+                    "benchmarks": {plan.benchmark: metrics[plan.key] for plan in plans},
+                    "activation_bits": numerics.activation_bits,
                 },
             )
 
-    if policy is None:
-        policy = resolve_policy(config, platform)
-    scheduler = RoundScheduler(
-        groups,
-        policy,
+    outcome, results = _run_groups(
+        _build_groups(plans, config),
         config,
+        policy,
         qat_controller=qat_controller,
         platform=platform,
         on_evaluation=on_evaluation,
+        profiler=profiler,
     )
-    outcome = scheduler.run()
-
     result = FleetTrainingResult(
-        fleet=list(fleet.spec),
+        fleet=[(plan.key, plan.num_workers, plan.num_envs) for plan in plans],
         total_timesteps=outcome.total_timesteps,
         total_updates=outcome.total_updates,
         num_envs=config.num_envs,
-        num_workers=total_workers,
+        num_workers=sum(plan.num_workers for plan in plans),
         pipeline_depth=config.pipeline_depth,
         schedule=policy.name,
         weights=list(outcome.weights),
         devices=config.devices,
         placement=config.placement,
-        assignment=dict(assignment_by_key),
+        assignment=assignment,
     )
-    for group in fleet.groups:
-        benchmark_result = TrainingResult(
-            curve=curves[group.key],
-            episode_returns=list(group.collector.episode_returns),
-            qat_event=outcome.qat_event,
-            total_timesteps=outcome.steps_by_key[group.key],
-            total_updates=outcome.updates_by_key[group.key],
-            num_envs=group.num_envs,
-            num_workers=group.num_workers,
-            pipeline_depth=config.pipeline_depth,
-            replay_buffer=group.buffer,
-        )
+    for plan, benchmark_result in zip(plans, results):
         # Keyed by display name (nice for reports); a factory whose env
         # display name collides with another group's falls back to the
         # unique registry key rather than silently overwriting a result.
-        result_key = group.benchmark
+        result_key = plan.benchmark
         if result_key in result.per_benchmark:
-            result_key = group.key
+            result_key = plan.key
         result.per_benchmark[result_key] = benchmark_result
     return result
 

@@ -1,78 +1,48 @@
-"""Asynchronous multi-worker experience collection.
+"""Collection workers: actor replicas, one collector per replay buffer.
 
-FIXAR's training throughput is bounded by how fast the host can feed the
-accelerator experience.  The vectorized :class:`~repro.rl.rollout.RolloutEngine`
-removed the per-transition overhead inside one process; this module removes
-the single-process ceiling: N :class:`CollectorWorker` replicas — each owning
-its *own* :class:`~repro.envs.vector.VectorEnv` and rollout engine — collect
-lock-step transition batches that an :class:`AsyncCollector` coordinator
-drains into **one** shared :class:`~repro.rl.replay_buffer.ReplayBuffer` via
-``add_batch``.
+A :class:`CollectorWorker` owns a :class:`~repro.envs.vector.VectorEnv` and a
+:class:`~repro.rl.rollout.RolloutEngine`; an :class:`AsyncCollector`
+coordinates the workers of **one** benchmark around **one** shared
+:class:`~repro.rl.replay_buffer.ReplayBuffer` (``add_batch`` drains) and
+broadcasts the learner's actor weights to their :class:`ActorPolicy`
+replicas every ``sync_interval`` environment steps.  A training run is one
+collector per benchmark group; the groups are built in
+:mod:`repro.rl.training` and stepped by :mod:`repro.rl.scheduler`.
+
+Fleet specs
+-----------
+A run's workers may span several registered benchmarks, so one run stresses
+the accelerator with mixed batch shapes (the adaptive-parallelism scenario
+the paper's multi-benchmark evaluation implies).  :func:`parse_fleet_spec`
+owns the grammar: ``"HalfCheetah:2:16,Hopper:2:8"`` is a four-worker fleet
+whose HalfCheetah workers step 16 environments in lock-step while the Hopper
+workers step 8.
 
 Topology and seeding
 --------------------
-Worker ``w`` steps ``num_envs`` environments seeded
-``seed + w * num_envs + i`` (environment ``i`` of worker ``w``), so the
-worker fleet observes exactly the trajectories one wide ``VectorEnv`` of
-``num_workers * num_envs`` environments would have produced, partitioned
-into independent slices.  Each worker also owns an independent exploration
-noise process and warmup RNG (derived streams ``(seed, w, 0)`` and
-``(seed, w, 1)``), plus an :class:`ActorPolicy` replica of the learner's
-actor network that the coordinator refreshes every ``sync_interval``
-environment steps.
-
-Heterogeneous fleets
---------------------
-A fleet need not replicate one benchmark: a **fleet spec** maps workers to
-registered benchmarks so one training run stresses the accelerator with
-mixed batch shapes (the adaptive-parallelism scenario the paper's
-multi-benchmark evaluation implies).  The grammar, parsed by
-:func:`parse_fleet_spec`, is::
-
-    spec     ::= entry ("," entry)*
-    entry    ::= benchmark [":" count [":" num_envs]]
-
-where ``benchmark`` is any name registered in :mod:`repro.envs.registry`
-(matched case-insensitively — ``register()`` there is the extension point
-new benchmarks use to join fleets), ``count`` is a positive worker count
-defaulting to 1, and the optional third field is the benchmark's
-**lock-step width** — the ``num_envs`` of each of that benchmark's workers,
-defaulting to the run's ``config.num_envs``.  ``"HalfCheetah:2:16,Hopper:2:8"``
-is a four-worker fleet whose HalfCheetah workers step 16 environments in
-lock-step while the Hopper workers step 8; a benchmark may appear only once
-per spec.
-
-Mixed-width seeding
-~~~~~~~~~~~~~~~~~~~
-:class:`HeteroFleet` realises a parsed spec as one :class:`AsyncCollector`
-**group per benchmark** — per-benchmark replay buffer (state/action shapes
-differ across benchmarks) and per-benchmark learner agent — while worker
-ids are assigned **globally** in spec order: entry ``(b, count, width)``
-claims the next ``count`` ids.  Environment seeding generalizes the uniform
-``seed + worker_id * num_envs + i`` scheme by giving every worker a **global
-environment offset**: worker ``w``'s offset is the sum of the lock-step
-widths of all workers before it in spec order, and its environment ``i`` is
-seeded ``seed + env_offset(w) + i``.  With a uniform width the offset
-collapses to ``worker_id * num_envs``, so every homogeneous fleet keeps the
-exact historical scheme — a homogeneous spec (``"Hopper:2"``) assigns ids
-0..1 and seeds exactly as ``num_workers=2`` does, which is what keeps the
-fleet path bit-exact with the PR-2/3 collector (pinned by
-``tests/test_hetero_fleet.py``; the mixed-width offsets are pinned by
-``tests/test_scheduler.py``).  Noise/warmup streams stay keyed by the
-*worker id* (``(seed, worker_id, stream)``), independent of widths.
+Worker ids are **global** across a run, in spec order: entry ``(b, count,
+width)`` claims the next ``count`` ids.  Worker ``w``'s environment ``i`` is
+seeded ``seed + env_offset(w) + i`` (:func:`worker_env_seed`), where
+``env_offset(w)`` is the sum of the lock-step widths of all workers before
+it.  At a uniform width that is ``seed + w * num_envs + i``, so the workers
+observe exactly the trajectories one wide ``VectorEnv`` of all their
+environments would have produced, partitioned into independent slices —
+and a one-benchmark spec ``"Hopper:2"`` seeds exactly as ``num_workers=2``
+does (pinned by ``tests/test_hetero_fleet.py``; the mixed-width offsets by
+``tests/test_scheduler.py``).  Each replica worker also owns an independent
+exploration-noise process and warmup RNG on the derived streams
+``(seed, w, 0)`` and ``(seed, w, 1)``, keyed by worker id regardless of
+widths.
 
 Execution modes
 ---------------
-* **synchronous** (deterministic) — the coordinator steps the workers
-  round-robin in-process, one lock-step each per round, draining every
-  worker's transitions into the shared buffer in worker order.  With one
-  worker this is *bit-exact* with driving the worker's
-  :class:`RolloutEngine` directly (the PR-1 oracle extends to the collector),
-  and :func:`~repro.rl.training.train` uses this mode so training runs stay
-  reproducible at any ``num_workers``.  The pipelined training schedule
-  (``TrainingConfig.pipeline_depth > 0``) runs the same deterministic rounds
-  but defers the buffer drain (``step_sync(drain=False)`` + :meth:`drain`)
-  so the learner consumes round *k* while the fleet collects round *k+1*.
+* **synchronous** (deterministic) — :meth:`AsyncCollector.step_sync` steps
+  the workers in id order, one lock-step each, draining every worker's
+  transitions into the shared buffer in that order.  With one worker this
+  is *bit-exact* with driving the worker's :class:`RolloutEngine` directly.
+  Every training schedule uses this mode, so runs are reproducible at any
+  worker count; a pipelined schedule runs the same rounds with the buffer
+  insertion deferred (``step_sync(drain=False)`` + :meth:`AsyncCollector.drain`).
 * **asynchronous** (throughput) — each worker free-runs in its own forked
   process, streaming transition chunks through a bounded queue; the
   coordinator drains arrivals into the shared buffer in arrival order and
@@ -81,10 +51,9 @@ Execution modes
   ``benchmarks/bench_async_collect.py`` measures.
 
 Platform accounting: every worker's engine prices each policy lock-step as
-one ``platform.infer_batch(num_envs)`` (the workers' batches serialize on
-the single accelerator — see :meth:`FixarPlatform.infer_collection`), and the
-coordinator aggregates the per-worker
-:class:`~repro.rl.rollout.RolloutStats` including those modelled seconds.
+one ``platform.infer_batch(num_envs)``, and the coordinator aggregates the
+per-worker :class:`~repro.rl.rollout.RolloutStats` including those modelled
+seconds.
 """
 
 from __future__ import annotations
@@ -99,8 +68,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..envs.base import Environment
-from ..envs.registry import available_benchmarks, benchmark_dimensions
-from ..envs.registry import make as make_env
+from ..envs.registry import available_benchmarks
 from ..envs.vector import VectorEnv
 from ..nn.network import MLP, build_actor
 from ..nn.numerics import DynamicFixedPointNumerics
@@ -114,8 +82,6 @@ __all__ = [
     "CollectorWorker",
     "AsyncCollector",
     "AsyncCollectStats",
-    "FleetGroup",
-    "HeteroFleet",
     "parse_fleet_spec",
     "worker_env_seed",
 ]
@@ -135,11 +101,12 @@ def parse_fleet_spec(
 ) -> List[tuple]:
     """Parse a fleet spec into ``[(benchmark_key, worker_count, width), ...]``.
 
-    The grammar (see the module docstring) is a comma-separated list of
+    The grammar is a comma-separated list of
     ``benchmark[:count[:num_envs]]`` entries: ``"HalfCheetah:2:16,Hopper"``
     means two HalfCheetah workers of 16 lock-stepped environments each,
     followed by one Hopper worker at the default width.  Benchmark names are
-    resolved case-insensitively against :mod:`repro.envs.registry` and
+    resolved case-insensitively against :mod:`repro.envs.registry`
+    (``register()`` there is how new benchmarks join fleets) and
     returned as the lowercase registry keys; entry order is preserved
     because it determines the fleet's global worker-id assignment (and with
     it the deterministic seeding).  A pre-parsed sequence of ``(name,
@@ -844,256 +811,6 @@ class AsyncCollector:
         if mode == "async":
             return self._collect_async(num_steps, timeout)
         raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
-
-
-@dataclass
-class FleetGroup:
-    """One benchmark's slice of a heterogeneous fleet.
-
-    ``benchmark`` is the display name (the environment's ``name``
-    attribute, e.g. ``"Hopper"``); ``key`` the lowercase registry key the
-    fleet spec resolved to.  The group's :class:`AsyncCollector` owns the
-    benchmark's workers and its private replay buffer — buffers cannot be
-    shared across benchmarks because the state/action shapes differ.
-    """
-
-    benchmark: str
-    key: str
-    collector: AsyncCollector
-
-    @property
-    def num_workers(self) -> int:
-        return self.collector.num_workers
-
-    @property
-    def num_envs(self) -> int:
-        """Lock-step width of this group's workers (uniform within a group)."""
-        return self.collector.num_envs
-
-    @property
-    def steps_per_round(self) -> int:
-        """Environment steps this group contributes to one fleet round."""
-        return self.collector.steps_per_round
-
-    @property
-    def buffer(self) -> ReplayBuffer:
-        return self.collector.buffer
-
-    @property
-    def agent(self):
-        """The benchmark's learner agent (the group's broadcast source)."""
-        return self.collector.source_agent
-
-
-class HeteroFleet:
-    """A heterogeneous collector fleet: one collector group per benchmark.
-
-    Workers of different groups own *different registered benchmarks* but
-    share the training run: worker ids are global across the fleet (entry
-    order of the spec claims consecutive ids), and every worker seeds its
-    environments ``seed + env_offset + i`` where ``env_offset`` is the sum
-    of the lock-step widths of all prior workers in spec order — with a
-    uniform width this is exactly ``seed + worker_id * num_envs + i``, so a
-    homogeneous spec reproduces the single-benchmark fleet bit for bit.
-    Noise/warmup use the ``(seed, worker_id, stream)`` derived streams,
-    keyed by worker id regardless of widths.  Each group drains into its
-    own replay buffer and broadcasts its own learner's actor weights; the
-    deterministic round schedule steps the groups in spec order, one
-    :meth:`AsyncCollector.step_sync` each.  Groups may have **different
-    lock-step widths** (the ``Benchmark:count:num_envs`` spec field); the
-    width is uniform only *within* a group.
-    """
-
-    def __init__(self, groups: Sequence[FleetGroup]):
-        groups = list(groups)
-        if not groups:
-            raise ValueError("HeteroFleet needs at least one group")
-        keys = [group.key for group in groups]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"fleet groups must cover distinct benchmarks, got {keys}")
-        ids = [
-            worker.worker_id for group in groups for worker in group.collector.workers
-        ]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"worker ids must be unique across the fleet, got {ids}")
-        self.groups = groups
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_agents(
-        cls,
-        fleet: Sequence,
-        agents,
-        *,
-        num_envs: int,
-        buffer_capacity: int,
-        seed: Optional[int] = 0,
-        sigma: float = 0.1,
-        warmup_timesteps: int = 0,
-        sync_interval: int = 1,
-        env_templates=None,
-        platforms=None,
-    ) -> "HeteroFleet":
-        """Build the fleet a parsed spec describes around per-benchmark agents.
-
-        Parameters
-        ----------
-        fleet:
-            Parsed spec from :func:`parse_fleet_spec` (a raw string or a
-            sequence of pairs/triples is accepted and parsed here).
-        agents:
-            Mapping of benchmark name (case-insensitive) to that
-            benchmark's learner agent.  Every spec benchmark must be
-            covered, and each agent's ``state_dim``/``action_dim`` must
-            match the registry's :func:`benchmark_dimensions`.
-        num_envs:
-            Default lock-step width for spec entries that do not set their
-            own ``Benchmark:count:num_envs`` width field.
-        buffer_capacity, seed, sync_interval:
-            Per-group replay capacity, the fleet-wide base seed, and the
-            per-group broadcast interval.
-        sigma, warmup_timesteps:
-            Exploration noise std-dev and the *per-worker* warmup budget
-            handed to each :meth:`CollectorWorker.from_agent`.
-        env_templates:
-            Optional mapping of benchmark name to a template environment
-            instance (the workers step fresh seeded replicas of it);
-            benchmarks without a template use ``registry.make``.
-        platforms:
-            Optional mapping of benchmark name to the
-            :class:`~repro.platform.FixarPlatform` pricing that benchmark's
-            batched inferences (layer dimensions differ per benchmark, so
-            each group needs its own workload's platform).
-        """
-        fleet = parse_fleet_spec(fleet, default_width=num_envs)
-        agents_by_key = {str(name).lower(): agent for name, agent in dict(agents).items()}
-        if len(agents_by_key) != len(dict(agents)):
-            raise ValueError("agents mapping has case-colliding benchmark names")
-        spec_keys = [key for key, _count, _width in fleet]
-        missing = [key for key in spec_keys if key not in agents_by_key]
-        if missing:
-            raise ValueError(f"agents mapping is missing fleet benchmarks: {missing}")
-        extra = sorted(set(agents_by_key) - set(spec_keys))
-        if extra:
-            raise ValueError(f"agents mapping names benchmarks outside the fleet: {extra}")
-        templates_by_key = {
-            str(name).lower(): env for name, env in dict(env_templates or {}).items()
-        }
-        platforms_by_key = {
-            str(name).lower(): platform
-            for name, platform in dict(platforms or {}).items()
-        }
-
-        groups: List[FleetGroup] = []
-        worker_id_base = 0
-        env_offset = 0
-        for key, count, width in fleet:
-            agent = agents_by_key[key]
-            dims = benchmark_dimensions(key)
-            if (agent.state_dim, agent.action_dim) != (
-                dims["state_dim"],
-                dims["action_dim"],
-            ):
-                raise ValueError(
-                    f"agent for {key!r} has dims "
-                    f"({agent.state_dim}, {agent.action_dim}); the benchmark needs "
-                    f"({dims['state_dim']}, {dims['action_dim']})"
-                )
-            template = templates_by_key.get(key)
-            if template is None:
-                template = make_env(key)
-            workers = []
-            for offset in range(count):
-                workers.append(
-                    CollectorWorker.from_agent(
-                        worker_id_base + offset,
-                        agent,
-                        template,
-                        width,
-                        seed=seed,
-                        sigma=sigma,
-                        warmup_timesteps=warmup_timesteps,
-                        platform=platforms_by_key.get(key),
-                        env_offset=env_offset,
-                    )
-                )
-                env_offset += width
-            worker_id_base += count
-            buffer = ReplayBuffer(
-                buffer_capacity, agent.state_dim, agent.action_dim, seed=seed
-            )
-            collector = AsyncCollector(
-                workers, buffer, source_agent=agent, sync_interval=sync_interval
-            )
-            groups.append(
-                FleetGroup(benchmark=template.name, key=key, collector=collector)
-            )
-        return cls(groups)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def num_workers(self) -> int:
-        return sum(group.num_workers for group in self.groups)
-
-    @property
-    def widths(self) -> List[int]:
-        """Per-group lock-step widths, in spec order (may be mixed)."""
-        return [group.num_envs for group in self.groups]
-
-    @property
-    def steps_per_round(self) -> int:
-        """Environment steps of one fleet round across all groups."""
-        return sum(group.steps_per_round for group in self.groups)
-
-    @property
-    def benchmarks(self) -> List[str]:
-        """Display names of the fleet's benchmarks, in spec order."""
-        return [group.benchmark for group in self.groups]
-
-    @property
-    def spec(self) -> List[tuple]:
-        """The fleet's resolved ``(benchmark_key, worker_count, width)`` entries."""
-        return [(group.key, group.num_workers, group.num_envs) for group in self.groups]
-
-    def episode_returns(self) -> dict:
-        """Finished episode returns per benchmark (display-name keys)."""
-        return {
-            group.benchmark: list(group.collector.episode_returns)
-            for group in self.groups
-        }
-
-    # ------------------------------------------------------------------ #
-    # Deterministic round schedule
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Reset every worker's environments (fresh initial observations)."""
-        for group in self.groups:
-            for worker in group.collector.workers:
-                worker.engine.reset()
-
-    def step_sync(self, drain: bool = True) -> List[List[VectorTransitions]]:
-        """One fleet round: every group runs one deterministic round in order.
-
-        Returns each group's lock-step transitions (spec order) so a
-        pipelined schedule can defer the buffer drains; with ``drain=True``
-        each group drains into its own buffer immediately, exactly like the
-        homogeneous collector.
-        """
-        return [group.collector.step_sync(drain=drain) for group in self.groups]
-
-    def drain(self, rounds: Sequence[Sequence[VectorTransitions]]) -> None:
-        """Insert one deferred fleet round into the per-group buffers."""
-        if len(rounds) != len(self.groups):
-            raise ValueError(
-                f"expected one deferred round per group ({len(self.groups)}), "
-                f"got {len(rounds)}"
-            )
-        for group, group_rounds in zip(self.groups, rounds):
-            group.collector.drain(group_rounds)
 
 
 def _send_to_all(pipes, message) -> None:

@@ -334,3 +334,31 @@ class TestAssignmentFlag:
         )
         assert exit_code == 0
         assert "device affinity:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("assignment", ["typo=1", "Hopper=7"])
+    @pytest.mark.parametrize(
+        "target",
+        [["--benchmark", "Hopper"], ["--fleet", "Hopper:1,HalfCheetah:1"]],
+        ids=["train", "fleet"],
+    )
+    def test_unresolvable_mapping_exits_2_without_a_traceback(
+        self, target, assignment, capsys
+    ):
+        """An unknown benchmark or a non-collection device is only knowable
+        once the run's groups and pool exist; both branches report it."""
+        exit_code = main(
+            [
+                "train",
+                *target,
+                "--timesteps", "96",
+                "--batch-size", "16",
+                "--hidden", "16", "12",
+                "--regime", "float32",
+                "--devices", "2",
+                "--assignment", assignment,
+            ]
+        )
+        assert exit_code == 2
+        error_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(error_lines) == 1
+        assert error_lines[0].startswith("error: --assignment: ")

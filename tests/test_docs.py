@@ -11,7 +11,8 @@ checkable in CI:
 * every ``benchmarks/reports/*.txt`` file the README references must exist
   (the benchmark harness regenerates them, so a renamed report breaks the
   table);
-* the layer directories ARCHITECTURE's map names must exist.
+* the layer directories ARCHITECTURE's map names must exist, and every
+  class the map names must still be exported by one of those layers.
 
 Run the set alone with ``pytest -m docs``.
 """
@@ -53,6 +54,29 @@ def test_architecture_doc_exists_with_layer_map():
                   "serving"):
         assert f"src/repro/{layer}/" in text, f"layer map lost the {layer} layer"
         assert (REPO_ROOT / "src" / "repro" / layer).is_dir()
+
+
+def test_architecture_layer_map_names_resolve():
+    """Every backticked CamelCase name in the layer map is a live export.
+
+    A class deleted from the code must leave the map too: each name has to
+    resolve as an attribute of some ``repro.<layer>`` package the map lists.
+    """
+    rows = [
+        line for line in ARCHITECTURE.read_text().splitlines()
+        if line.startswith("| **")
+    ]
+    packages = [
+        importlib.import_module(f"repro.{layer}")
+        for layer in sorted(set(re.findall(r"src/repro/(\w+)/", "\n".join(rows))))
+    ]
+    names = set(re.findall(r"`([A-Z][a-z0-9]+[A-Z]\w*)`", "\n".join(rows)))
+    assert len(packages) >= 8 and len(names) >= 15, "layer map lost its table"
+    dangling = sorted(
+        name for name in names
+        if not any(hasattr(package, name) for package in packages)
+    )
+    assert not dangling, f"ARCHITECTURE's layer map names missing classes: {dangling}"
 
 
 def test_readme_import_lines_execute():

@@ -28,7 +28,6 @@ from repro.platform import FixarPlatform, WorkloadSpec
 from repro.rl import (
     DDPGAgent,
     DDPGConfig,
-    HeteroFleet,
     QATController,
     QATSchedule,
     TrainingConfig,
@@ -36,6 +35,7 @@ from repro.rl import (
     train,
     train_fleet,
 )
+from repro.rl.training import _build_groups, _fleet_plans
 
 
 def _agent(benchmark: str, numerics=None, seed=42) -> DDPGAgent:
@@ -62,6 +62,14 @@ def _config(**overrides) -> TrainingConfig:
         num_envs=2,
     )
     return replace(base, **overrides)
+
+
+def _build_fleet(spec, agents, *, num_envs, buffer_capacity, seed=0):
+    """The fleet's groups, built by the one run builder ``train_fleet`` uses."""
+    config = TrainingConfig(
+        fleet=spec, num_envs=num_envs, buffer_capacity=buffer_capacity, seed=seed
+    )
+    return _build_groups(_fleet_plans(agents, config), config)
 
 
 class TestParseFleetSpec:
@@ -149,7 +157,7 @@ class TestConfigValidation:
 class TestFleetConstruction:
     def test_missing_agent_rejected(self):
         with pytest.raises(ValueError, match="missing fleet benchmarks"):
-            HeteroFleet.from_agents(
+            _build_fleet(
                 "Hopper:1,Swimmer:1",
                 {"Hopper": _agent("Hopper")},
                 num_envs=2,
@@ -158,7 +166,7 @@ class TestFleetConstruction:
 
     def test_extra_agent_rejected(self):
         with pytest.raises(ValueError, match="outside the fleet"):
-            HeteroFleet.from_agents(
+            _build_fleet(
                 "Hopper:1",
                 {"Hopper": _agent("Hopper"), "Swimmer": _agent("Swimmer")},
                 num_envs=2,
@@ -167,7 +175,7 @@ class TestFleetConstruction:
 
     def test_wrong_dims_rejected(self):
         with pytest.raises(ValueError, match="dims"):
-            HeteroFleet.from_agents(
+            _build_fleet(
                 "Swimmer:1",
                 {"Swimmer": _agent("Hopper")},
                 num_envs=2,
@@ -176,7 +184,7 @@ class TestFleetConstruction:
 
     def test_global_worker_ids_follow_spec_order(self):
         numerics = make_numerics("float32")
-        fleet = HeteroFleet.from_agents(
+        groups = _build_fleet(
             "HalfCheetah:2,Hopper:1",
             {"HalfCheetah": _agent("HalfCheetah", numerics), "Hopper": _agent("Hopper", numerics)},
             num_envs=2,
@@ -185,25 +193,25 @@ class TestFleetConstruction:
         )
         ids = [
             [worker.worker_id for worker in group.collector.workers]
-            for group in fleet.groups
+            for group in groups
         ]
         assert ids == [[0, 1], [2]]
-        assert fleet.num_workers == 3
-        assert fleet.steps_per_round == 6
-        assert fleet.benchmarks == ["HalfCheetah", "Hopper"]
+        assert sum(group.num_workers for group in groups) == 3
+        assert sum(group.steps_per_lock_round for group in groups) == 6
+        assert [group.benchmark for group in groups] == ["HalfCheetah", "Hopper"]
 
     def test_worker_envs_keep_global_seeding_scheme(self):
         """Hopper workers behind a HalfCheetah group still seed by global id."""
         numerics = make_numerics("float32")
         seed, num_envs = 10, 2
-        fleet = HeteroFleet.from_agents(
+        groups = _build_fleet(
             "HalfCheetah:1,Hopper:1",
             {"HalfCheetah": _agent("HalfCheetah", numerics), "Hopper": _agent("Hopper", numerics)},
             num_envs=num_envs,
             buffer_capacity=1_000,
             seed=seed,
         )
-        hopper_group = fleet.groups[1]
+        hopper_group = groups[1]
         observations = hopper_group.collector.workers[0].engine.reset()
         worker_id = hopper_group.collector.workers[0].worker_id
         assert worker_id == 1
@@ -213,13 +221,13 @@ class TestFleetConstruction:
 
     def test_per_benchmark_buffers_have_benchmark_dims(self):
         numerics = make_numerics("float32")
-        fleet = HeteroFleet.from_agents(
+        groups = _build_fleet(
             "HalfCheetah:1,Swimmer:1",
             {"HalfCheetah": _agent("HalfCheetah", numerics), "Swimmer": _agent("Swimmer", numerics)},
             num_envs=2,
             buffer_capacity=1_000,
         )
-        cheetah, swimmer = fleet.groups
+        cheetah, swimmer = groups
         assert cheetah.buffer._states.shape[1] == HalfCheetahEnv.STATE_DIM
         assert swimmer.buffer._states.shape[1] == SwimmerEnv.STATE_DIM
         assert swimmer.buffer._actions.shape[1] == SwimmerEnv.ACTION_DIM
@@ -229,24 +237,40 @@ class TestHomogeneousBitExactness:
     """The acceptance-criteria pin: ``Hopper:2`` == ``num_workers=2``."""
 
     @pytest.mark.parametrize("pipeline_depth", [0, 1])
-    def test_fleet_spec_matches_num_workers_path(self, pipeline_depth):
+    def test_fleet_spec_matches_num_workers_path(
+        self, pipeline_depth, regime="float32", num_envs=2
+    ):
         template = HopperEnv(seed=0, max_episode_steps=30)
         eval_env_kwargs = dict(seed=99, max_episode_steps=30)
 
-        worker_agent = _agent("Hopper")
+        def learner():
+            """A fresh agent plus its precision driver (QAT switching mid-run)."""
+            if regime == "float32":
+                return _agent("Hopper"), None
+            numerics = DynamicFixedPointNumerics(num_bits=16)
+            schedule = QATSchedule(num_bits=16, quantization_delay=120)
+            return _agent("Hopper", numerics), QATController(numerics, schedule)
+
+        worker_agent, worker_controller = learner()
+        worker_progress = []
         worker_result = train(
             HopperEnv(seed=0, max_episode_steps=30),
             worker_agent,
-            _config(num_workers=2, pipeline_depth=pipeline_depth),
+            _config(num_workers=2, num_envs=num_envs, pipeline_depth=pipeline_depth),
             eval_env=HopperEnv(**eval_env_kwargs),
+            qat_controller=worker_controller,
+            progress_callback=lambda step, metrics: worker_progress.append((step, metrics)),
         )
 
-        fleet_agent = _agent("Hopper")
+        fleet_agent, fleet_controller = learner()
+        fleet_progress = []
         fleet_result = train_fleet(
             {"Hopper": fleet_agent},
-            _config(fleet="Hopper:2", pipeline_depth=pipeline_depth),
+            _config(fleet="Hopper:2", num_envs=num_envs, pipeline_depth=pipeline_depth),
             env_templates={"Hopper": template},
             eval_envs={"Hopper": HopperEnv(**eval_env_kwargs)},
+            qat_controller=fleet_controller,
+            progress_callback=lambda step, metrics: fleet_progress.append((step, metrics)),
         )
         benchmark_result = fleet_result.per_benchmark["Hopper"]
 
@@ -266,6 +290,37 @@ class TestHomogeneousBitExactness:
             np.testing.assert_array_equal(value, fleet_agent.actor.parameters()[name])
         for name, value in worker_agent.critic.parameters().items():
             np.testing.assert_array_equal(value, fleet_agent.critic.parameters()[name])
+
+        assert benchmark_result.qat_event == worker_result.qat_event
+        assert (worker_result.qat_event is not None) == (regime == "fixar-dynamic")
+        # train_fleet's callback nests train's per-benchmark metrics under
+        # the display name; the shared activation width stays at top level.
+        assert len(worker_progress) == 2
+        assert fleet_progress == [
+            (
+                step,
+                {
+                    "benchmarks": {
+                        "Hopper": {
+                            "average_return": metrics["average_return"],
+                            "episodes": metrics["episodes"],
+                        }
+                    },
+                    "activation_bits": metrics["activation_bits"],
+                },
+            )
+            for step, metrics in worker_progress
+        ]
+
+    @pytest.mark.parametrize("pipeline_depth", [0, 1])
+    @pytest.mark.parametrize("num_envs", [1, 3])
+    @pytest.mark.parametrize("regime", ["float32", "fixar-dynamic"])
+    def test_pin_holds_across_widths_and_a_mid_run_qat_switch(
+        self, regime, num_envs, pipeline_depth
+    ):
+        self.test_fleet_spec_matches_num_workers_path(
+            pipeline_depth, regime=regime, num_envs=num_envs
+        )
 
 
 class TestHeterogeneousTraining:

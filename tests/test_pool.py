@@ -418,6 +418,36 @@ class TestPoolTraining:
         )
         assert sorted(result.assignment.values()) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({"typo": 1}, r"match no scheduled group: \['typo'\]"),
+            ({"Hopper": 7}, "assigned to device 7"),
+        ],
+    )
+    def test_train_validates_assignment_like_the_fleet_path(
+        self, assignment, message
+    ):
+        """``train`` on a pool runs its one group through the same
+        ``resolve_assignment(...).assign`` call as ``train_fleet``."""
+        from repro.envs import HopperEnv
+
+        pool = AcceleratorPool(FixarPlatform(WorkloadSpec.from_benchmark("Hopper")), 2)
+        for num_workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                train(
+                    HopperEnv(seed=5, max_episode_steps=40),
+                    _agent("Hopper"),
+                    _config(num_workers=num_workers, devices=2, assignment=assignment),
+                    platform=pool,
+                )
+        with pytest.raises(ValueError, match=message):
+            train_fleet(
+                {"Hopper": _agent("Hopper")},
+                _config(fleet="Hopper:2", devices=2, assignment=assignment),
+                platform=pool,
+            )
+
     def test_config_pool_mismatches_rejected(self, platform):
         with pytest.raises(ValueError, match="multi-accelerator pool"):
             self._run(platform, devices=2)

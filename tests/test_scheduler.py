@@ -34,7 +34,6 @@ from repro.rl import (
     AffinityAssignment,
     DDPGAgent,
     DDPGConfig,
-    HeteroFleet,
     LoadBalancedAssignment,
     PipelinedPolicy,
     RoundRobinAssignment,
@@ -46,6 +45,7 @@ from repro.rl import (
     train,
     train_fleet,
 )
+from repro.rl.training import _build_groups, _fleet_plans
 
 
 def _agent(benchmark: str, numerics=None, seed=42) -> DDPGAgent:
@@ -320,6 +320,14 @@ class TestThroughputWeightedPolicy:
         assert policy._ratio_weights([1.0, 2.0]) == [2, 1]
 
 
+def _build_fleet(spec, agents, *, num_envs, buffer_capacity, seed=0):
+    """The fleet's groups, built by the one run builder ``train_fleet`` uses."""
+    config = TrainingConfig(
+        fleet=spec, num_envs=num_envs, buffer_capacity=buffer_capacity, seed=seed
+    )
+    return _build_groups(_fleet_plans(agents, config), config)
+
+
 class TestMixedWidthFleets:
     """The three-field grammar: per-benchmark lock-step widths."""
 
@@ -327,7 +335,7 @@ class TestMixedWidthFleets:
         """The mixed-width seeding pin: seed + env_offset(w) + i."""
         numerics = make_numerics("float32")
         seed = 10
-        fleet = HeteroFleet.from_agents(
+        groups = _build_fleet(
             "HalfCheetah:2:4,Hopper:2:2",
             {
                 "HalfCheetah": _agent("HalfCheetah", numerics),
@@ -337,16 +345,18 @@ class TestMixedWidthFleets:
             buffer_capacity=1_000,
             seed=seed,
         )
-        assert fleet.widths == [4, 2]
-        assert fleet.spec == [("halfcheetah", 2, 4), ("hopper", 2, 2)]
-        assert fleet.steps_per_round == 2 * 4 + 2 * 2
+        assert [group.num_envs for group in groups] == [4, 2]
+        assert [
+            (group.key, group.num_workers, group.num_envs) for group in groups
+        ] == [("halfcheetah", 2, 4), ("hopper", 2, 2)]
+        assert sum(group.steps_per_lock_round for group in groups) == 2 * 4 + 2 * 2
 
         # Worker offsets: HalfCheetah workers own envs [0..4) and [4..8);
         # Hopper workers own [8..10) and [10..12).
         expected_offsets = [0, 4, 8, 10]
         env_classes = [HalfCheetahEnv, HalfCheetahEnv, HopperEnv, HopperEnv]
         workers = [
-            worker for group in fleet.groups for worker in group.collector.workers
+            worker for group in groups for worker in group.collector.workers
         ]
         for worker, offset, env_class in zip(workers, expected_offsets, env_classes):
             observations = worker.engine.reset()
@@ -357,14 +367,14 @@ class TestMixedWidthFleets:
     def test_uniform_width_spec_keeps_historical_seeding(self):
         """A homogeneous-width spec must seed exactly as worker_id * width."""
         numerics = make_numerics("float32")
-        fleet = HeteroFleet.from_agents(
+        groups = _build_fleet(
             "Hopper:2:2",
             {"Hopper": _agent("Hopper", numerics)},
             num_envs=5,  # ignored: the spec pins the width
             buffer_capacity=1_000,
             seed=7,
         )
-        worker = fleet.groups[0].collector.workers[1]
+        worker = groups[0].collector.workers[1]
         observations = worker.engine.reset()
         for i in range(2):
             expected = HopperEnv(seed=7 + 1 * 2 + i).reset()
