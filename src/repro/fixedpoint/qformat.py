@@ -6,6 +6,11 @@ format is fully described by its total word length and the number of
 fractional bits.  The paper uses a 32-bit format for weights and gradients
 for the whole training run, a 32-bit format for activations before the
 quantization delay, and a 16-bit format for activations afterwards.
+
+``from_raw(to_raw(x))`` is the *definition* of rounding onto a format's grid.
+:meth:`QFormat.quantize` computes the same bits in one float64 buffer, with
+no int64 round trip; the few inputs where that cast is observable (NaN, 0-d
+values, words too wide for a float64 mantissa) take the definition itself.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ class QFormat:
                 "frac_bits must leave at least the sign bit: "
                 f"word_length={self.word_length}, frac_bits={self.frac_bits}"
             )
+        # quantize()'s constants, worked out once (the dataclass is frozen).
+        kernel = (self.scale, self.resolution, float(self.raw_min), float(self.raw_max))
+        object.__setattr__(self, "_kernel", kernel)
 
     # ------------------------------------------------------------------ #
     # Derived properties
@@ -121,9 +129,29 @@ class QFormat:
         """Convert raw integer codes back to real values."""
         return np.asarray(raw, dtype=np.float64) * self.resolution
 
+    # repro-lint: hot
     def quantize(self, values: np.ndarray | float) -> np.ndarray:
-        """Round real values onto this format's representable grid."""
-        return self.from_raw(self.to_raw(values))
+        """Round real values onto this format's representable grid.
+
+        Bit-equal to ``from_raw(to_raw(values))``, never an alias of
+        ``values``.  The definition's int64 cast shows twice: ``-0.0`` comes
+        back ``+0.0`` (hence ``+= 0.0``), and NaN becomes ``INT64_MIN`` with a
+        ``RuntimeWarning`` (NaN is handed to the definition, warning and all).
+        """
+        arr = np.asarray(values)
+        if arr.ndim == 0 or arr.size == 0 or self.word_length > 53:
+            return self.from_raw(self.to_raw(values))
+        scale, resolution, raw_min, raw_max = self._kernel
+        out = np.multiply(arr, scale, dtype=np.float64)
+        np.rint(out, out=out)
+        low, high = out.min(), out.max()
+        if not (low >= raw_min and high <= raw_max):  # saturating, or NaN
+            if low != low:
+                return self.from_raw(self.to_raw(values))
+            np.clip(out, raw_min, raw_max, out=out)
+        out += 0.0
+        out *= resolution
+        return out
 
     def clip_raw(self, raw: np.ndarray) -> np.ndarray:
         """Saturate raw codes into this format's representable range."""

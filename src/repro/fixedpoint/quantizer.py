@@ -39,14 +39,20 @@ class RangeTracker:
     max_value: float = field(default=float("-inf"))
     count: int = 0
 
-    def update(self, values: np.ndarray | float) -> None:
-        """Fold a batch of activations into the running range."""
+    def update(self, values: np.ndarray | float, *sharing: "RangeTracker") -> None:
+        """Fold a batch of activations into the running range.
+
+        ``sharing`` trackers observe the same batch (a layer's own beside
+        the global one): ``(min, max)`` is reduced once and folded into each.
+        """
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             return
-        self.min_value = min(self.min_value, float(arr.min()))
-        self.max_value = max(self.max_value, float(arr.max()))
-        self.count += int(arr.size)
+        low, high, count = float(arr.min()), float(arr.max()), int(arr.size)
+        for tracker in (self, *sharing):
+            tracker.min_value = min(tracker.min_value, low)
+            tracker.max_value = max(tracker.max_value, high)
+            tracker.count += count
 
     @property
     def initialized(self) -> bool:
@@ -99,6 +105,7 @@ class AffineQuantizer:
             delta = 1.0 / float(2 ** self.num_bits)
         self.delta = delta
         self.zero_point = int(np.floor(-self.min_value / self.delta))
+        self._code_max = float(self.code_max)
 
     @classmethod
     def from_tracker(cls, num_bits: int, tracker: RangeTracker) -> "AffineQuantizer":
@@ -133,9 +140,28 @@ class AffineQuantizer:
         codes = np.asarray(codes, dtype=np.float64)
         return (codes - self.zero_point) * self.delta
 
+    # repro-lint: hot
     def apply(self, values: np.ndarray | float) -> np.ndarray:
-        """Fake-quantize: quantize then dequantize (simulated precision loss)."""
-        return self.dequantize(self.quantize(values))
+        """Fake-quantize: quantize then dequantize (simulated precision loss).
+
+        Bit-equal to ``dequantize(quantize(values))``, which stays the
+        definition (and takes NaN and 0-d values itself), in one float64
+        buffer that never aliases ``values``.
+        """
+        arr = np.asarray(values)
+        if arr.ndim == 0 or arr.size == 0:
+            return self.dequantize(self.quantize(values))
+        out = np.divide(arr, self.delta, dtype=np.float64)
+        np.floor(out, out=out)
+        out += self.zero_point
+        low, high = out.min(), out.max()
+        if not (low >= 0.0 and high <= self._code_max):  # saturating, or NaN
+            if low != low:
+                return self.dequantize(self.quantize(values))
+            np.clip(out, 0.0, self._code_max, out=out)
+        out -= self.zero_point
+        out *= self.delta
+        return out
 
     def quantization_error(self, values: np.ndarray | float) -> float:
         """Maximum absolute error introduced by quantizing ``values``."""

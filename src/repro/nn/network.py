@@ -26,6 +26,36 @@ __all__ = ["MLP", "build_actor", "build_critic", "DEFAULT_HIDDEN_SIZES"]
 DEFAULT_HIDDEN_SIZES: Tuple[int, int] = (400, 300)
 
 
+class ParameterHandles(dict):
+    """``name → array`` handles on a network's parameters that lead back to it.
+
+    Taking the handles drops the network's cached weight projections once.  A
+    holder that writes through them *later* (an optimizer, on every step)
+    calls :meth:`written` after each write, so that no projection outlives
+    the parameters it was computed from.
+    """
+
+    def __init__(self, network: "MLP", arrays: Dict[str, np.ndarray]):
+        super().__init__(arrays)
+        self.network = network
+
+    def written(self, project=None, projected: Optional[Dict[str, np.ndarray]] = None) -> None:
+        """Report an in-place write through these handles.
+
+        ``projected[name]`` is ``project(array)``, when the writer has just
+        stored exactly that in every array; a layer whose ``project_weight``
+        is ``project`` takes it as its next projection and computes none.
+        """
+        for index, layer in enumerate(self.network.layers):
+            if not isinstance(layer, Linear):
+                continue
+            if projected is not None and project == layer.numerics.project_weight:
+                prefix = f"{index}.{layer.name}"
+                layer.invalidate(projected.get(f"{prefix}.weight"), projected.get(f"{prefix}.bias"))
+            else:
+                layer.invalidate()
+
+
 class MLP:
     """A sequential network with explicit forward / backward passes.
 
@@ -50,6 +80,7 @@ class MLP:
     # ------------------------------------------------------------------ #
     # Propagation
     # ------------------------------------------------------------------ #
+    # repro-lint: hot
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Forward propagation with per-layer activation projection.
 
@@ -57,34 +88,57 @@ class MLP:
         per-layer precision policy quantizes a Linear's output *and* the
         activation function applied to it under one layer name.
         """
-        activation = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        activation = np.asarray(inputs, dtype=np.float64)
+        if activation.ndim < 2:
+            activation = np.atleast_2d(activation)
+        numerics = self.numerics
+        observe, project = numerics.observe_activation, numerics.project_activation
         current: Optional[str] = None
         for layer in self.layers:
             if isinstance(layer, Linear):
                 current = layer.name
             activation = layer.forward(activation)
-            self.numerics.observe_activation(activation, layer=current)
-            activation = self.numerics.project_activation(activation, layer=current)
+            observe(activation, layer=current)
+            activation = project(activation, layer=current)
         return activation
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward propagation; returns the gradient w.r.t. the inputs."""
+        """Backward propagation; returns the gradient w.r.t. the inputs.
+
+        Every layer's input gradient is projected once: a dense layer projects
+        what it is handed itself and projection is idempotent, so only what
+        goes to an activation layer (or back to the caller) is projected here.
+        """
         gradient = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
-        for layer in reversed(self.layers):
-            gradient = layer.backward(gradient)
-            gradient = self.numerics.project_gradient(gradient)
+        project = self.numerics.project_gradient
+        layers = self.layers
+        for index in range(len(layers) - 1, -1, -1):
+            gradient = layers[index].backward(gradient)
+            if index == 0 or not isinstance(layers[index - 1], Linear):
+                gradient = project(gradient)
         return gradient
 
     # ------------------------------------------------------------------ #
     # Parameter management
     # ------------------------------------------------------------------ #
     def parameters(self) -> Dict[str, np.ndarray]:
+        """Writable handles on every parameter array, by name.
+
+        Handing them out counts as a write (the cached weight projections are
+        dropped); see :class:`ParameterHandles` for holders that write later.
+        """
+        handles = ParameterHandles(self, self._parameters())
+        handles.written()
+        return handles
+
+    def _parameters(self) -> Dict[str, np.ndarray]:
+        """:meth:`parameters` for readers: nothing is handed out or dropped."""
         params: Dict[str, np.ndarray] = {}
         for index, layer in enumerate(self.layers):
-            for name, value in layer.parameters().items():
+            for name, value in layer._parameters().items():
                 params[f"{index}.{name}"] = value
         return params
 
@@ -100,7 +154,7 @@ class MLP:
             layer.zero_grad()
 
     def set_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        """Overwrite parameters in place from a dictionary of the same shape."""
+        """Overwrite parameters in place, all or nothing (names and shapes are checked first)."""
         current = self.parameters()
         for name, value in params.items():
             if name not in current:
@@ -110,18 +164,22 @@ class MLP:
                     f"shape mismatch for {name!r}: "
                     f"{current[name].shape} vs {value.shape}"
                 )
+        for name, value in params.items():
             current[name][...] = value
 
     def copy_from(self, other: "MLP") -> None:
         """Hard-copy another network's parameters (used for target networks)."""
-        self.set_parameters(other.parameters())
+        self.set_parameters(other._parameters())
 
     def soft_update_from(self, other: "MLP", tau: float) -> None:
         """Polyak averaging ``theta ← tau * theta_other + (1 - tau) * theta``."""
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {tau}")
         params = self.parameters()
-        source = other.parameters()
+        source = other._parameters()
+        for name in params:
+            if name not in source:
+                raise KeyError(name)
         for name, value in params.items():
             value[...] = tau * source[name] + (1.0 - tau) * value
 
@@ -131,7 +189,7 @@ class MLP:
     @property
     def parameter_count(self) -> int:
         """Total number of scalar parameters."""
-        return sum(v.size for v in self.parameters().values())
+        return sum(v.size for v in self._parameters().values())
 
     @property
     def layer_shapes(self) -> List[Tuple[int, int]]:

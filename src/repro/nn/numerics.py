@@ -44,9 +44,16 @@ class Numerics:
 
     #: Human-readable name used in reports and learning-curve legends.
     name = "float32"
+    #: Fixed-point weight format, if any; dense layers key their cache on it.
+    weight_format: Optional[QFormat] = None
 
     def project_weight(self, weight: np.ndarray) -> np.ndarray:
-        """Representation applied to weights before they are used."""
+        """Representation applied to weights before they are used.
+
+        Must be idempotent and a function of ``weight`` and
+        :attr:`weight_format` alone: dense layers cache it, and an optimizer's
+        post-step projection becomes the weights of the next forward pass.
+        """
         return weight
 
     def project_activation(
@@ -277,25 +284,27 @@ class DynamicFixedPointNumerics(FixedPointNumerics):
     ) -> None:
         if self._half_mode:
             return
-        self.range_tracker.update(activation)
-        if layer is not None and layer not in self.layer_quantizers:
-            tracker = self.layer_trackers.get(layer)
-            if tracker is None:
-                tracker = self.layer_trackers[layer] = RangeTracker()
-            tracker.update(activation)
+        if layer is None or layer in self.layer_quantizers:
+            self.range_tracker.update(activation)
+            return
+        tracker = self.layer_trackers.get(layer)
+        if tracker is None:
+            tracker = self.layer_trackers[layer] = RangeTracker()
+        self.range_tracker.update(activation, tracker)
 
+    # repro-lint: hot
     def project_activation(
         self, activation: np.ndarray, layer: Optional[str] = None
     ) -> np.ndarray:
-        if self._half_mode and self.quantizer is not None:
-            quantized = self.quantizer.apply(activation)
-            return self.half_activation_format.quantize(quantized)
-        if layer is not None:
-            quantizer = self.layer_quantizers.get(layer)
-            if quantizer is not None:
-                quantized = quantizer.apply(activation)
-                return self.half_activation_format.quantize(quantized)
-        return self.full_activation_format.quantize(activation)
+        quantizer = self.quantizer if self._half_mode else None
+        if quantizer is None and layer is not None:
+            layer_quantizers = self.layer_quantizers
+            quantizer = layer_quantizers.get(layer)
+        if quantizer is None:
+            full_format = self.full_activation_format
+            return full_format.quantize(activation)
+        half_format = self.half_activation_format
+        return half_format.quantize(quantizer.apply(activation))
 
     @property
     def activation_bits(self) -> int:

@@ -6,6 +6,11 @@ optimizers the paper mentions (Adam with learning rate 1e-4, plus plain SGD
 for ablations).  The ``project`` hook is how fixed-point weight storage is
 modelled: after every update the parameters are snapped back onto the 32-bit
 fixed-point grid.
+
+An optimizer writes through the handles it was built on at every step, long
+after the network cached its weight projections.  Handles that came from
+``MLP.parameters()`` are therefore told of each write, and given the projected
+arrays just stored: exactly the weights the next forward pass needs.
 """
 
 from __future__ import annotations
@@ -40,10 +45,15 @@ class Optimizer:
         raise NotImplementedError
 
     def _apply_projection(self) -> None:
-        if self.project is None:
-            return
-        for value in self.parameters.values():
-            value[...] = self.project(value)
+        """Snap the parameters onto the grid and report them written."""
+        projected = None
+        if self.project is not None:
+            projected = {}
+            for name, value in self.parameters.items():
+                projected[name] = value[...] = self.project(value)
+        written = getattr(self.parameters, "written", None)
+        if written is not None:
+            written(self.project, projected)
 
 
 class SGD(Optimizer):

@@ -42,7 +42,6 @@ def batched_policy_actions(actor, states, noise=None) -> np.ndarray:
     match the learner's bit for bit, so the semantics live in exactly one
     place.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = actor.forward(states)
     if noise is not None:
         actions = actions + np.asarray(noise, dtype=np.float64).reshape(actions.shape)

@@ -6,6 +6,8 @@ equivalence of the column-wise dataflow with a plain matrix-vector product,
 quantizer range guarantees, and replay-buffer bookkeeping.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.fixedpoint import (
     combine_halves,
     unpack_dual_activations,
 )
+from repro.nn import make_numerics
 from repro.rl import ReplayBuffer
 
 # --------------------------------------------------------------------------- #
@@ -141,6 +144,133 @@ class TestQuantizerProperties:
         in_range = np.clip(values, low, high)
         recovered = quantizer.apply(in_range)
         assert np.max(np.abs(recovered - in_range)) <= quantizer.delta + 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# Fused kernels against their definitions
+# --------------------------------------------------------------------------- #
+#: ``(53, 20)`` is the widest word the fused kernel takes; ``(60, 20)`` goes
+#: through the definition itself.
+KERNEL_FORMATS = [QFormat(32, 16), QFormat(16, 8), QFormat(8, 4), QFormat(53, 20), QFormat(60, 20)]
+
+magnitudes = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+    st.integers(min_value=-8, max_value=11),
+)
+special_values = st.sampled_from(
+    [0.0, -0.0, -1e-9, -2.0 ** -22, 2.0 ** -22, 0.5, -0.5, 1.5, -1.5,
+     2.0 ** 31, -(2.0 ** 31), 2.0 ** 62, -(2.0 ** 62), 1e300, -1e300,
+     float("inf"), float("-inf"), float("nan")]
+)
+kernel_values = st.lists(
+    st.one_of(magnitudes, special_values, st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=0,
+    max_size=24,
+)
+#: How the same numbers reach a kernel: dtype, layout, writability, boxing.
+PRESENTATIONS = {
+    "float64": lambda values: np.array(values, dtype=np.float64),
+    "matrix": lambda values: np.array(values + values, dtype=np.float64).reshape(2, -1),
+    "strided": lambda values: np.array(values + values, dtype=np.float64)[::2],
+    "transposed": lambda values: np.array(values + values, dtype=np.float64).reshape(2, -1).T,
+    "read_only": lambda values: _read_only(np.array(values, dtype=np.float64)),
+    "float32": lambda values: _as_float32(values),
+    "int64": lambda values: np.array([int(v) for v in values if abs(v) < 2.0 ** 62], dtype=np.int64),
+    "list": lambda values: list(values),
+    "python_float": lambda values: float(values[0]) if values else 0.0,
+    "zero_dim": lambda values: np.array(values[0] if values else -0.0, dtype=np.float64),
+}
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _as_float32(values):
+    with np.errstate(over="ignore"):
+        return np.array(values, dtype=np.float64).astype(np.float32)
+
+
+def _observed(function, argument):
+    """The result of one call and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = function(argument)
+    return result, [(item.category, str(item.message)) for item in caught]
+
+
+def _assert_same_bits(fused, definition, argument):
+    result, raised = _observed(fused, argument)
+    expected, expected_raised = _observed(definition, argument)
+    assert type(result) is type(expected)  # np.float64 for 0-d input
+    assert result.dtype == expected.dtype == np.float64
+    assert result.shape == expected.shape
+    assert result.tobytes() == expected.tobytes()
+    # As sets: an input with both an overflow and a NaN warns of the overflow
+    # once in the kernel and once more in the definition it falls back on.
+    assert set(raised) == set(expected_raised)
+    if isinstance(argument, np.ndarray):
+        assert not np.shares_memory(result, argument)
+
+
+class TestFusedKernelDifferential:
+    """``quantize`` / ``apply`` compute their definitions, to the last bit."""
+
+    @given(
+        fmt=st.sampled_from(KERNEL_FORMATS),
+        values=kernel_values,
+        presentation=st.sampled_from(sorted(PRESENTATIONS)),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_quantize_is_from_raw_of_to_raw(self, fmt, values, presentation):
+        argument = PRESENTATIONS[presentation](values)
+        _assert_same_bits(fmt.quantize, lambda x: fmt.from_raw(fmt.to_raw(x)), argument)
+
+    @given(
+        num_bits=st.sampled_from([8, 16]),
+        low=st.floats(min_value=-1e4, max_value=1e4),
+        span=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e5)),
+        values=kernel_values,
+        presentation=st.sampled_from(sorted(PRESENTATIONS)),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_apply_is_dequantize_of_quantize(self, num_bits, low, span, values, presentation):
+        quantizer = AffineQuantizer(num_bits, low, low + span)
+        argument = PRESENTATIONS[presentation](values)
+        _assert_same_bits(
+            quantizer.apply, lambda x: quantizer.dequantize(quantizer.quantize(x)), argument
+        )
+
+    @given(
+        fmt=st.sampled_from(KERNEL_FORMATS),
+        values=kernel_values.filter(lambda values: not any(v != v for v in values)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quantized_values_are_a_fixed_point(self, fmt, values):
+        """On-grid, ``-0.0``-free values project onto themselves.
+
+        This is what lets ``MLP.backward`` project a gradient once where a
+        dense layer is about to project it again.  NaN is outside the claim:
+        the definition sends it to ``INT64_MIN`` codes, beyond the format's
+        range, and only a second projection saturates those.
+        """
+        with np.errstate(over="ignore"):
+            once = fmt.quantize(np.array(values, dtype=np.float64))
+        assert fmt.quantize(once).tobytes() == once.tobytes()
+
+    @given(
+        regime=st.sampled_from(["float32", "fixed32", "fixed16", "fixar-dynamic"]),
+        values=kernel_values.filter(lambda values: not any(v != v for v in values)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gradient_projection_is_idempotent(self, regime, values):
+        numerics = make_numerics(regime)
+        with np.errstate(over="ignore"):
+            once = numerics.project_gradient(np.array(values, dtype=np.float64))
+            assert numerics.project_gradient(once).tobytes() == once.tobytes()
 
 
 class TestDataflowProperties:
