@@ -33,6 +33,7 @@ from .core import (
     format_curve,
     format_series,
     format_table,
+    run_precision_driver,
     smoke_test_config,
 )
 from .envs import BENCHMARK_SUITE
@@ -239,9 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "benchmarks are rejected)")
     train.add_argument("--precision-policy", choices=sorted(PRECISION_POLICIES),
                        default=None,
-                       help="precision policy replacing the built-in QAT "
-                            "controller (fixar-dynamic regime only): "
-                            "'global-switch' is Algorithm 1's single switch, "
+                       help="precision policy of the run (fixar-dynamic "
+                            "regime only): 'global-switch' is the built-in "
+                            "QAT controller itself (Algorithm 1; without "
+                            "--precision-spec it keeps the run's own "
+                            "schedule), "
                             "'per-layer' switches layers on a static "
                             "bitwidth table, 'range-driven' switches each "
                             "layer once its activation-range statistics "
@@ -330,19 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _precision_error(args: argparse.Namespace, error: ValueError) -> int:
+    """Exit 2 for a ``--precision-spec`` its policy rejects.
+
+    The policies parse and range-check their own specs; any other
+    ``ValueError`` while the run's driver is built is a bug and propagates.
+    """
+    if args.precision_policy is None:
+        raise error
+    print(f"error: --precision-spec: {error}", file=sys.stderr)
+    return 2
+
+
 def _command_train_fleet(args: argparse.Namespace) -> int:
     """The heterogeneous multi-benchmark branch of the train sub-command."""
     import numpy as np
 
     from .envs import benchmark_dimensions
-    from .nn import DynamicFixedPointNumerics, make_numerics
-    from .rl import (
-        DDPGAgent,
-        QATController,
-        parse_fleet_spec,
-        resolve_precision,
-        train_fleet,
-    )
+    from .nn import make_numerics
+    from .rl import DDPGAgent, parse_fleet_spec, train_fleet
 
     from dataclasses import replace
 
@@ -374,25 +383,12 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
             numerics=numerics,
             rng=rng,
         )
-    qat_controller = None
-    if isinstance(numerics, DynamicFixedPointNumerics):
-        if args.precision_policy is not None:
-            try:
-                qat_controller = resolve_precision(
-                    args.precision_policy, numerics, args.precision_spec
-                )
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-        else:
-            qat_controller = QATController(numerics, base.qat)
-    elif args.precision_policy is not None:
-        print(
-            f"error: --precision-policy needs the fixar-dynamic regime, "
-            f"got --regime {args.regime}",
-            file=sys.stderr,
+    try:
+        qat_controller = run_precision_driver(
+            numerics, base.qat, args.precision_policy, args.precision_spec
         )
-        return 2
+    except ValueError as error:
+        return _precision_error(args, error)
 
     try:
         config = replace(
@@ -536,6 +532,13 @@ def _command_train(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.precision_spec is not None and args.precision_policy is None:
+        print(
+            "error: --precision-spec: needs --precision-policy to name the "
+            "policy whose grammar it is written in",
+            file=sys.stderr,
+        )
+        return 2
     if args.precision_policy is not None and args.regime != "fixar-dynamic":
         print(
             f"error: --precision-policy needs the fixar-dynamic regime, "
@@ -585,7 +588,10 @@ def _command_train(args: argparse.Namespace) -> int:
         # (e.g. the schedule/pipeline_depth conflict).
         print(f"error: {error}", file=sys.stderr)
         return 2
-    system = FixarSystem(config)
+    try:
+        system = FixarSystem(config)
+    except ValueError as error:
+        return _precision_error(args, error)
     schedule = args.schedule or (
         f"pipelined depth {args.pipeline_depth}" if args.pipeline_depth else "sequential"
     )

@@ -9,7 +9,7 @@ from .comparison import (
     normalize_peak_performance,
 )
 from .config import FixarConfig, paper_config, smoke_test_config
-from .fixar import FixarSystem, ThroughputReport
+from .fixar import FixarSystem, ThroughputReport, run_precision_driver
 from .report import (
     format_breakdown,
     format_curve,
@@ -25,6 +25,7 @@ __all__ = [
     "smoke_test_config",
     "FixarSystem",
     "ThroughputReport",
+    "run_precision_driver",
     "AcceleratorEntry",
     "FA3C_ASPLOS19",
     "PPO_FCCM20",

@@ -16,7 +16,7 @@ used by the benchmark harness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -38,13 +38,33 @@ from ..platform import (
 from ..rl import (
     DDPGAgent,
     QATController,
+    QATSchedule,
     TrainingResult,
+    resolve_precision,
     train,
 )
 from .comparison import comparison_table, fixar_entry
 from .config import FixarConfig
 
-__all__ = ["FixarSystem", "ThroughputReport"]
+__all__ = ["FixarSystem", "ThroughputReport", "run_precision_driver"]
+
+
+def run_precision_driver(
+    numerics, schedule: QATSchedule, policy: Optional[str], spec: Optional[str]
+):
+    """The precision driver of a configured run (``None`` off the dynamic regime).
+
+    ``policy`` / ``spec`` are ``TrainingConfig.precision`` /
+    ``.precision_spec``.  The global switch without a spec runs the run's own
+    ``schedule`` (``FixarConfig.qat``) whether the policy is named or left
+    unset — both spell the same driver; an explicit spec, or another policy,
+    resolves through the registry.
+    """
+    if not isinstance(numerics, DynamicFixedPointNumerics):
+        return None
+    if policy in (None, QATController.name) and spec is None:
+        return QATController(numerics, schedule)
+    return resolve_precision(policy, numerics, spec)
 
 
 @dataclass
@@ -117,16 +137,16 @@ class FixarSystem:
             rng=rng,
         )
 
-        # Algorithm 1 controller (only meaningful for the dynamic regime).
-        # A configured precision *policy* (``training.precision``) replaces
-        # the controller: train() resolves it over the shared numerics, so
-        # building one here would configure two competing drivers.
-        self.qat_controller: Optional[QATController] = None
-        if (
-            isinstance(self.numerics, DynamicFixedPointNumerics)
-            and self.config.training.precision is None
-        ):
-            self.qat_controller = QATController(self.numerics, self.config.qat)
+        # The run's precision driver (only meaningful for the dynamic
+        # regime): Algorithm 1 on ``config.qat`` unless ``training.precision``
+        # names another policy or spec.  Resolved here, once, so a malformed
+        # spec fails at construction and train()/cosimulate() share it.
+        self.qat_controller = run_precision_driver(
+            self.numerics,
+            self.config.qat,
+            self.config.training.precision,
+            self.config.training.precision_spec,
+        )
 
         # FPGA accelerator with the agent's networks resident on chip.
         self.accelerator = FixarAccelerator(self.config.accelerator)
@@ -172,10 +192,15 @@ class FixarSystem:
                 self.config.training.devices,
                 placement=self.config.training.placement,
             )
+        training = self.config.training
+        if self.qat_controller is not None:
+            # train() takes the driver as the explicit object and rejects a
+            # config that names one as well.
+            training = replace(training, precision=None, precision_spec=None)
         result = train(
             self.env,
             self.agent,
-            self.config.training,
+            training,
             eval_env=self.eval_env,
             qat_controller=self.qat_controller,
             label=label or self.config.numeric_regime,

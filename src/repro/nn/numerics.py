@@ -221,21 +221,6 @@ class DynamicFixedPointNumerics(FixedPointNumerics):
         self._half_mode = False
         self.activation_format = self.full_activation_format
 
-    def adopt_quantizer(self, quantizer: AffineQuantizer) -> None:
-        """Enter half mode with a quantizer frozen *elsewhere*.
-
-        A forked collection replica owns a snapshot copy of the learner's
-        numerics, so the learner's precision switch cannot reach it through
-        the (shared-object) in-process path.  The coordinator instead ships
-        the learner's frozen :class:`AffineQuantizer` over the worker's
-        command pipe, and the replica adopts it verbatim — keeping the whole
-        fleet on one quantization grid rather than freezing each replica's
-        privately observed range.
-        """
-        self.quantizer = quantizer
-        self._half_mode = True
-        self.activation_format = self.half_activation_format
-
     def switch_layer_to_half(
         self, layer: str, num_bits: Optional[int] = None
     ) -> AffineQuantizer:
@@ -257,24 +242,6 @@ class DynamicFixedPointNumerics(FixedPointNumerics):
         self.layer_quantizers[layer] = quantizer
         self.layer_bits[layer] = bits
         return quantizer
-
-    def adopt_plan(self, plan) -> None:
-        """Adopt per-layer precision state frozen *elsewhere*.
-
-        The plan is duck-typed: either a mapping of layer name →
-        :class:`AffineQuantizer`, or a ``PrecisionPlan``-shaped object with
-        ``layer_quantizers`` / ``layer_bits`` mappings and an optional
-        ``global_quantizer``.  This is :meth:`adopt_quantizer` generalized —
-        the broadcast seam forked collection replicas receive plans through.
-        """
-        layer_quantizers = getattr(plan, "layer_quantizers", plan)
-        layer_bits = dict(getattr(plan, "layer_bits", None) or {})
-        for name, quantizer in dict(layer_quantizers or {}).items():
-            self.layer_quantizers[name] = quantizer
-            self.layer_bits[name] = int(layer_bits.get(name, quantizer.num_bits))
-        global_quantizer = getattr(plan, "global_quantizer", None)
-        if global_quantizer is not None:
-            self.adopt_quantizer(global_quantizer)
 
     # ------------------------------------------------------------------ #
     # Projection hooks

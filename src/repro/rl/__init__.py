@@ -13,9 +13,8 @@ pass, draws exploration noise in one batched call
 :meth:`ReplayBuffer.add_batch` write.  An :class:`AsyncCollector`
 coordinates one benchmark's :class:`CollectorWorker` replicas (each owning
 its own ``VectorEnv`` + engine, seeded ``seed + env_offset + i``) around one
-shared replay buffer, with a deterministic synchronous mode every training
-schedule uses and a free-running multi-process mode for raw collection
-throughput.
+shared replay buffer in deterministic in-process rounds; the replicas share
+the learner's numerics object, so a precision switch reaches them at once.
 
 Training is one builder, one scheduler, two result shapes
 (:mod:`repro.rl.training`).  A run is a list of :class:`ScheduledGroup` s —
@@ -34,14 +33,14 @@ preserved as :func:`train_scalar_reference` — bit for bit.  The scheduler
 fleet collects round k+1 while the learner drains round k) and
 :class:`ThroughputWeightedPolicy` (cheaper modelled benchmarks collect
 extra lock-steps per round).  Activation precision is driven
-by the *precision subsystem* (:mod:`repro.rl.precision`): a pluggable
-:class:`PrecisionPolicy` — :class:`GlobalSwitchPolicy` (Algorithm 1's
-single fleet-wide switch, bit-exact with :class:`QATController`),
+by the *precision subsystem* (:mod:`repro.rl.precision`): a registry of
+drivers — ``global-switch`` (Algorithm 1's single fleet-wide switch, which
+*is* :class:`QATController`; :data:`GlobalSwitchPolicy` is its alias),
 :class:`PerLayerSchedulePolicy` (static per-layer bitwidth table), and
 :class:`RangeDrivenPolicy` (switches each layer once its activation-range
-statistics stabilise) — resolves to per-layer
-:class:`PrecisionPlan` state that the numerics, collector broadcast,
-checkpoint, and platform pricing layers all consume.  Future
+statistics stabilise) — that advance the shared numerics object's
+per-layer state, which the checkpoint and platform pricing layers read
+back as a normalized ``precision_state()``.  Future
 scaling layers
 (sharded accelerators, multi-backend inference) should likewise slot in
 behind the engine's ``act_batch``/``step`` seam rather than re-introducing
@@ -58,7 +57,6 @@ from .precision import (
     LayerSwitch,
     PerLayerSchedulePolicy,
     PrecisionEvent,
-    PrecisionPlan,
     PrecisionPolicy,
     RangeDrivenPolicy,
     register_precision_policy,
@@ -121,7 +119,6 @@ __all__ = [
     "QATController",
     "QATEvent",
     "PrecisionPolicy",
-    "PrecisionPlan",
     "PrecisionEvent",
     "LayerSwitch",
     "GlobalSwitchPolicy",

@@ -11,44 +11,38 @@ first-class policy seam, symmetric with the round scheduler's
 :class:`~repro.rl.scheduler.DeviceAssignmentPolicy`: a small class
 hierarchy, a registry, and a resolve function.
 
-A :class:`PrecisionPolicy` drives a
-:class:`~repro.nn.numerics.DynamicFixedPointNumerics` object through the
-same ``on_timestep`` surface :class:`~repro.rl.qat.QATController` exposes,
-so the training loop, the round scheduler, and the async coordinator treat
-both interchangeably:
+Every precision driver advances a
+:class:`~repro.nn.numerics.DynamicFixedPointNumerics` object through one
+surface, so the training loop and the round scheduler never ask which kind
+they hold:
 
 * ``on_timestep(t)`` advances the schedule and returns an event when one or
   more layers switch precision (``None`` otherwise);
 * ``switched`` is *terminal* — ``True`` only once no further events are
-  possible (the async coordinator stops advancing the schedule then);
-* ``broadcast_payload()`` is what the coordinator ships through the worker
-  command pipes — a bare quantizer for the global switch, a
-  :class:`PrecisionPlan` for per-layer policies;
+  possible;
 * ``precision_state()`` is the normalized ``{"default": bits, "layers":
   {name: bits}}`` profile the platform layer prices via
   ``FixarPlatform.with_precision_state`` and the adaptive weighted
   scheduler re-prices rounds with.
 
-The resolved state of any policy is a :class:`PrecisionPlan` — per-layer
-bit widths and frozen quantizers keyed by dense-layer name
-(``actor_fc0`` ... ``actor_out``, ``critic_fc0`` ... ``critic_out``) —
-which forked collection replicas adopt via
-:meth:`~repro.nn.numerics.DynamicFixedPointNumerics.adopt_plan`.
+Algorithm 1's global switch is :class:`~repro.rl.qat.QATController` itself,
+registered here under ``global-switch`` (:data:`GlobalSwitchPolicy` is an
+alias of it, not a wrapper); :class:`PrecisionPolicy` is the base of the two
+per-layer policies.  In-process collection replicas share the learner's
+numerics object, so a switch by any driver reaches the whole fleet at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..fixedpoint import AffineQuantizer
 from ..nn.numerics import DynamicFixedPointNumerics
-from .qat import QATController, QATEvent, QATSchedule
+from .qat import QATController
 
 __all__ = [
     "LayerSwitch",
     "PrecisionEvent",
-    "PrecisionPlan",
     "PrecisionPolicy",
     "GlobalSwitchPolicy",
     "PerLayerSchedulePolicy",
@@ -60,7 +54,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Events and plans
+# Events
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LayerSwitch:
@@ -96,42 +90,14 @@ class PrecisionEvent:
         return tuple(switch.layer for switch in self.switches)
 
 
-@dataclass(frozen=True)
-class PrecisionPlan:
-    """A policy's resolved precision state, keyed by dense-layer name.
-
-    Picklable (frozen quantizers are plain objects), so the async
-    coordinator can ship it through a worker command pipe; forked replicas
-    adopt it via ``DynamicFixedPointNumerics.adopt_plan``.  ``weight_bits``
-    and ``gradient_bits`` record that FIXAR keeps weights and gradients in
-    32-bit fixed point regardless of the activation schedule.
-    """
-
-    default_bits: int = 32
-    layer_quantizers: Dict[str, AffineQuantizer] = field(default_factory=dict)
-    layer_bits: Dict[str, int] = field(default_factory=dict)
-    global_quantizer: Optional[AffineQuantizer] = None
-    weight_bits: int = 32
-    gradient_bits: int = 32
-
-    def activation_bits(self, layer: str) -> int:
-        """The activation bit width the plan assigns to one layer."""
-        return self.layer_bits.get(layer, self.default_bits)
-
-    def precision_state(self) -> Dict[str, object]:
-        """Normalized ``{"default": bits, "layers": {name: bits}}`` profile."""
-        return {"default": self.default_bits, "layers": dict(self.layer_bits)}
-
-
 # --------------------------------------------------------------------- #
 # The policy seam
 # --------------------------------------------------------------------- #
 class PrecisionPolicy:
     """Base precision policy: drives one dynamic numerics object.
 
-    Subclasses implement :meth:`on_timestep`; everything else (plan
-    extraction, broadcast payload, normalized state) derives from the
-    numerics object's per-layer maps.  Register new policies with
+    Subclasses implement :meth:`on_timestep`; the normalized state derives
+    from the numerics object's per-layer maps.  Register new policies with
     :func:`register_precision_policy` so ``--precision-policy`` and
     :func:`resolve_precision` can find them (the ``precision-policy-parity``
     lint rule enforces this).
@@ -150,7 +116,7 @@ class PrecisionPolicy:
         self._events: List[PrecisionEvent] = []
         self._done = False
 
-    # -- the QATController-shaped surface ------------------------------- #
+    # -- the driver surface (shared with QATController) ------------------ #
     @property
     def switched(self) -> bool:
         """Terminal: ``True`` once no further precision events are possible."""
@@ -170,21 +136,6 @@ class PrecisionPolicy:
         """Advance the schedule; returns an event when layers switch."""
         raise NotImplementedError
 
-    def broadcast_payload(self):
-        """What the coordinator ships to forked replicas after an event."""
-        return self.plan()
-
-    # -- resolved state -------------------------------------------------- #
-    def plan(self) -> PrecisionPlan:
-        """The numerics' current precision state as a shippable plan."""
-        numerics = self.numerics
-        return PrecisionPlan(
-            default_bits=numerics.activation_bits,
-            layer_quantizers=dict(numerics.layer_quantizers),
-            layer_bits=dict(numerics.layer_bits),
-            global_quantizer=numerics.quantizer if numerics.half_mode else None,
-        )
-
     def precision_state(self) -> Dict[str, object]:
         """Normalized profile for the pricing oracles and the scheduler."""
         return self.numerics.precision_profile()
@@ -202,11 +153,11 @@ class PrecisionPolicy:
         return cls(numerics)
 
 
-#: Registry of shipped precision policies, keyed by policy name.
-PRECISION_POLICIES: Dict[str, Type[PrecisionPolicy]] = {}
+#: Registry of shipped precision drivers, keyed by policy name.
+PRECISION_POLICIES: Dict[str, type] = {}
 
 
-def register_precision_policy(cls: Type[PrecisionPolicy]) -> Type[PrecisionPolicy]:
+def register_precision_policy(cls: type) -> type:
     """Class decorator adding a policy to :data:`PRECISION_POLICIES`."""
     if not cls.name or cls.name == PrecisionPolicy.name:
         raise ValueError(f"{cls.__name__} must set a distinct policy name")
@@ -220,7 +171,7 @@ def resolve_precision(
     name: str,
     numerics: DynamicFixedPointNumerics,
     spec: Optional[str] = None,
-) -> PrecisionPolicy:
+):
     """A registered policy instance from its name and optional spec string."""
     if name not in PRECISION_POLICIES:
         raise ValueError(
@@ -231,81 +182,9 @@ def resolve_precision(
 
 
 # --------------------------------------------------------------------- #
-# Policy 1: the paper's global switch (Algorithm 1, bit-exact)
+# Policy 1: the paper's global switch (Algorithm 1) is the QAT controller
 # --------------------------------------------------------------------- #
-@register_precision_policy
-class GlobalSwitchPolicy(PrecisionPolicy):
-    """Algorithm 1's single global switch, behind the policy seam.
-
-    Delegates to an internal :class:`~repro.rl.qat.QATController`, so every
-    timestep decision — the delay test, the postponement while the range
-    tracker is uninitialized, the one-shot event — is *the same code path*
-    as the pre-refactor controller; the equivalence pin in
-    ``tests/test_precision.py`` holds ``==``-exact by construction.
-    """
-
-    name = "global-switch"
-
-    def __init__(
-        self,
-        numerics: DynamicFixedPointNumerics,
-        schedule: Optional[QATSchedule] = None,
-    ):
-        super().__init__(numerics)
-        self._controller = QATController(
-            numerics, schedule or QATSchedule(num_bits=numerics.num_bits)
-        )
-
-    @property
-    def schedule(self) -> QATSchedule:
-        return self._controller.schedule
-
-    @property
-    def switched(self) -> bool:
-        return self._controller.switched
-
-    @property
-    def event(self) -> Optional[QATEvent]:
-        return self._controller.event
-
-    @property
-    def events(self) -> Tuple[QATEvent, ...]:
-        return (self._controller.event,) if self._controller.event else ()
-
-    def on_timestep(self, timestep: int) -> Optional[QATEvent]:
-        return self._controller.on_timestep(timestep)
-
-    def activation_bits_at(self, timestep: int) -> int:
-        return self._controller.activation_bits_at(timestep)
-
-    def broadcast_payload(self):
-        # Identical pipe payload to the bare controller: the frozen global
-        # quantizer, adopted verbatim by every forked replica.
-        return self.numerics.quantizer
-
-    def describe(self) -> Dict[str, object]:
-        desc = super().describe()
-        desc.update(
-            {
-                "num_bits": self.schedule.num_bits,
-                "quantization_delay": self.schedule.quantization_delay,
-            }
-        )
-        return desc
-
-    @classmethod
-    def from_spec(
-        cls, numerics: DynamicFixedPointNumerics, spec: Optional[str] = None
-    ) -> "GlobalSwitchPolicy":
-        """Spec grammar: ``[bits][@delay]`` — e.g. ``16@1000``, ``@500``."""
-        if not spec:
-            return cls(numerics)
-        bits_part, _, delay_part = spec.partition("@")
-        num_bits = int(bits_part) if bits_part else numerics.num_bits
-        delay = int(delay_part) if delay_part else QATSchedule().quantization_delay
-        return cls(
-            numerics, QATSchedule(num_bits=num_bits, quantization_delay=delay)
-        )
+GlobalSwitchPolicy = register_precision_policy(QATController)
 
 
 # --------------------------------------------------------------------- #

@@ -8,14 +8,17 @@ gradients stay in 32-bit fixed point for the whole run.
 
 :class:`QATController` owns the schedule and flips the agent's
 :class:`~repro.nn.numerics.DynamicFixedPointNumerics` policy at the right
-timestep; the generic training loop in :mod:`repro.rl.training` calls it once
-per environment step.
+timestep; the round scheduler in :mod:`repro.rl.scheduler` calls it once per
+environment step.  It is the one implementation of the global switch:
+:mod:`repro.rl.precision` registers this class itself as the
+``global-switch`` precision policy, so ``config.precision="global-switch"``
+and an explicitly passed controller are the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..fixedpoint import AffineQuantizer
 from ..nn.numerics import DynamicFixedPointNumerics
@@ -58,14 +61,27 @@ class QATEvent:
 
 
 class QATController:
-    """Drives the precision switch of a dynamic fixed-point numeric policy."""
+    """Drives the precision switch of a dynamic fixed-point numeric policy.
 
-    def __init__(self, numerics: DynamicFixedPointNumerics, schedule: QATSchedule):
+    Without a ``schedule`` the controller runs :class:`QATSchedule`'s default
+    delay at the numerics' own bit width.
+    """
+
+    #: Registry key and the ``--precision-policy`` spelling.
+    name = "global-switch"
+
+    def __init__(
+        self,
+        numerics: DynamicFixedPointNumerics,
+        schedule: Optional[QATSchedule] = None,
+    ):
         if not isinstance(numerics, DynamicFixedPointNumerics):
             raise TypeError(
                 "QATController requires DynamicFixedPointNumerics, got "
                 f"{type(numerics).__name__}"
             )
+        if schedule is None:
+            schedule = QATSchedule(num_bits=numerics.num_bits)
         if numerics.num_bits != schedule.num_bits:
             raise ValueError(
                 "numerics and schedule disagree on the quantization bit width: "
@@ -84,6 +100,11 @@ class QATController:
     def event(self) -> Optional[QATEvent]:
         """The switch event, if it has happened."""
         return self._event
+
+    @property
+    def events(self) -> Tuple[QATEvent, ...]:
+        """Every event emitted, in order (at most the one switch)."""
+        return (self._event,) if self._event is not None else ()
 
     def on_timestep(self, timestep: int) -> Optional[QATEvent]:
         """Advance the schedule; returns the switch event exactly once.
@@ -119,13 +140,25 @@ class QATController:
         """
         return self.numerics.precision_profile()
 
-    def broadcast_payload(self):
-        """The payload shipped to forked replicas when the switch fires.
+    def describe(self) -> Dict[str, object]:
+        return {
+            "policy": self.name,
+            "precision_state": self.precision_state(),
+            "num_bits": self.schedule.num_bits,
+            "quantization_delay": self.schedule.quantization_delay,
+        }
 
-        For the global switch this is the frozen activation quantizer, which
-        :meth:`CollectorWorker.apply_precision_switch` adopts verbatim.
-        """
-        return self.numerics.quantizer
+    @classmethod
+    def from_spec(
+        cls, numerics: DynamicFixedPointNumerics, spec: Optional[str] = None
+    ) -> "QATController":
+        """Spec grammar: ``[bits][@delay]`` — e.g. ``16@1000``, ``@500``."""
+        if not spec:
+            return cls(numerics)
+        bits_part, _, delay_part = spec.partition("@")
+        num_bits = int(bits_part) if bits_part else numerics.num_bits
+        delay = int(delay_part) if delay_part else QATSchedule().quantization_delay
+        return cls(numerics, QATSchedule(num_bits=num_bits, quantization_delay=delay))
 
     def activation_bits_at(self, timestep: int) -> int:
         """Activation bit width actually in effect at a timestep.

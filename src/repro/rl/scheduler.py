@@ -779,9 +779,7 @@ class RoundScheduler:
         they were collected under).
         """
         new_weights = self.policy.relock(
-            self.groups,
-            self.platform,
-            getattr(self.qat_controller, "precision_state", lambda: None)(),
+            self.groups, self.platform, self.qat_controller.precision_state()
         )
         if new_weights is not None:
             self.weights = self._validated_weights(new_weights)

@@ -34,21 +34,16 @@ exploration-noise process and warmup RNG on the derived streams
 ``(seed, w, 0)`` and ``(seed, w, 1)``, keyed by worker id regardless of
 widths.
 
-Execution modes
----------------
-* **synchronous** (deterministic) — :meth:`AsyncCollector.step_sync` steps
-  the workers in id order, one lock-step each, draining every worker's
-  transitions into the shared buffer in that order.  With one worker this
-  is *bit-exact* with driving the worker's :class:`RolloutEngine` directly.
-  Every training schedule uses this mode, so runs are reproducible at any
-  worker count; a pipelined schedule runs the same rounds with the buffer
-  insertion deferred (``step_sync(drain=False)`` + :meth:`AsyncCollector.drain`).
-* **asynchronous** (throughput) — each worker free-runs in its own forked
-  process, streaming transition chunks through a bounded queue; the
-  coordinator drains arrivals into the shared buffer in arrival order and
-  broadcasts refreshed actor weights through per-worker pipes.  Collection
-  order is nondeterministic by construction; this is the mode
-  ``benchmarks/bench_async_collect.py`` measures.
+Execution
+---------
+Collection is in-process and deterministic: :meth:`AsyncCollector.step_sync`
+steps the workers in id order, one lock-step each, draining every worker's
+transitions into the shared buffer in that order.  With one worker this is
+*bit-exact* with driving the worker's :class:`RolloutEngine` directly, and
+runs are reproducible at any worker count; a pipelined schedule runs the
+same rounds with the buffer insertion deferred (``step_sync(drain=False)`` +
+:meth:`AsyncCollector.drain`).  Replicas share the learner's numerics
+object, so a precision switch reaches every worker the moment it fires.
 
 Platform accounting: every worker's engine prices each policy lock-step as
 one ``platform.infer_batch(num_envs)``, and the coordinator aggregates the
@@ -58,9 +53,7 @@ seconds.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import operator
-import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
@@ -71,7 +64,6 @@ from ..envs.base import Environment
 from ..envs.registry import available_benchmarks
 from ..envs.vector import VectorEnv
 from ..nn.network import MLP, build_actor
-from ..nn.numerics import DynamicFixedPointNumerics
 from .ddpg import batched_policy_actions
 from .noise import GaussianNoise, NoiseProcess
 from .replay_buffer import ReplayBuffer
@@ -232,12 +224,12 @@ def _derived_stream_seed(seed: Optional[int], worker_id: int, stream: int):
 class ActorPolicy:
     """A detached actor replica: selects actions, never learns.
 
-    Collection workers must not share the learner's mutable networks (an
-    async worker reading weights mid-update would act on torn parameters),
-    so each worker acts through its own copy of the actor MLP and receives
-    refreshed parameters via :meth:`load_parameters`.  The numerics object is
-    *shared* with the source agent, so an in-process QAT precision switch
-    applies to replicas immediately; forked async workers snapshot it.
+    Collection workers do not act through the learner's mutable networks:
+    each worker owns a copy of the actor MLP holding whatever the last
+    broadcast delivered (:meth:`load_parameters`), which is what gives
+    ``sync_interval`` and the pipelined staleness window their meaning.
+    The numerics object is *shared* with the source agent, so a QAT
+    precision switch applies to replicas immediately.
     """
 
     def __init__(self, actor: MLP, action_dim: int):
@@ -357,35 +349,6 @@ class CollectorWorker:
             return
         self.engine.agent.load_parameters(params)
 
-    def apply_precision_switch(self, payload=None) -> None:
-        """Apply the learner's precision switch to this worker's replica.
-
-        In-process replicas *share* the learner's numerics object, so the
-        switch reaches them implicitly; a **forked** replica owns a snapshot
-        copy, and the coordinator propagates the switch through the command
-        pipe instead (see :meth:`AsyncCollector.collect`).  ``payload`` is
-        whatever the learner-side driver's ``broadcast_payload()`` produced:
-        a bare frozen :class:`~repro.fixedpoint.AffineQuantizer` (the global
-        QAT switch) or a per-layer plan (anything with a ``layer_quantizers``
-        mapping, e.g. :class:`~repro.rl.precision.PrecisionPlan`) — adopting
-        it keeps the whole fleet on one quantization grid.  Without a
-        payload the replica freezes its *own* observed range (a worker that
-        has run policy forwards has an initialized tracker).  Idempotent,
-        and a no-op for non-dynamic numerics.
-        """
-        numerics = getattr(self.engine.agent.actor, "numerics", None)
-        if not isinstance(numerics, DynamicFixedPointNumerics):
-            return
-        if payload is not None and hasattr(payload, "layer_quantizers"):
-            numerics.adopt_plan(payload)
-            return
-        if numerics.half_mode:
-            return
-        if payload is not None:
-            numerics.adopt_quantizer(payload)
-        elif numerics.range_tracker.initialized:
-            numerics.switch_to_half()
-
     def stats_snapshot(self, wall_seconds: float = 0.0) -> RolloutStats:
         """The worker's lifetime rollout statistics."""
         engine = self.engine
@@ -405,26 +368,6 @@ class CollectorWorker:
         """One lock-step of this worker's environments."""
         return self.engine.step()
 
-    def collect_chunk(self, lock_steps: int) -> dict:
-        """``lock_steps`` lock-steps stacked into one queue-sized payload."""
-        if lock_steps <= 0:
-            raise ValueError(f"lock_steps must be positive, got {lock_steps}")
-        episodes_before = len(self.engine.episode_returns)
-        modelled_before = self.engine.modelled_platform_seconds
-        batches = [self.engine.step() for _ in range(lock_steps)]
-        return {
-            "states": np.concatenate([b.states for b in batches]),
-            "actions": np.concatenate([b.actions for b in batches]),
-            "rewards": np.concatenate([b.rewards for b in batches]),
-            "next_states": np.concatenate([b.next_states for b in batches]),
-            "dones": np.concatenate([b.dones for b in batches]),
-            "steps": lock_steps * self.num_envs,
-            "episode_returns": self.engine.episode_returns[episodes_before:],
-            "modelled_platform_seconds": (
-                self.engine.modelled_platform_seconds - modelled_before
-            ),
-        }
-
 
 @dataclass
 class AsyncCollectStats(RolloutStats):
@@ -433,17 +376,15 @@ class AsyncCollectStats(RolloutStats):
     Extends :class:`RolloutStats` (throughput properties included) with the
     fleet dimensions; ``num_envs`` is the per-worker lock-step width,
     ``total_steps``/``episodes``/``modelled_platform_seconds`` aggregate the
-    whole fleet, and ``iterations`` counts synchronous rounds (0 in the
-    free-running async mode).
+    whole fleet, and ``iterations`` counts the deterministic rounds.
     """
 
     num_workers: int = 1
-    mode: str = "sync"
     per_worker: List[RolloutStats] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         info = super().as_dict()
-        info.update({"num_workers": self.num_workers, "mode": self.mode})
+        info["num_workers"] = self.num_workers
         return info
 
 
@@ -462,28 +403,9 @@ class AsyncCollector:
         ``None`` disables broadcasting (pure-collection runs with frozen
         replicas).
     sync_interval:
-        Environment steps between actor-weight broadcasts.  The synchronous
-        mode broadcasts at the first round boundary where the counter has
-        reached the interval; the asynchronous mode checks after each drained
-        chunk, so the interval is a lower bound there.
-    chunk_lock_steps:
-        Lock-steps per queue message in asynchronous mode (amortises the
-        inter-process transfer cost).
-    qat_controller:
-        Optional precision driver — a :class:`~repro.rl.qat.QATController`
-        or any :class:`~repro.rl.precision.PrecisionPolicy` — advanced on
-        the fleet-wide drained step count during **asynchronous**
-        collection.  When a precision event fires, the coordinator
-        broadcasts a ``("precision", payload)`` control message (the
-        driver's ``broadcast_payload()``: a bare quantizer for the global
-        switch, a :class:`~repro.rl.precision.PrecisionPlan` for per-layer
-        policies) through every worker's command pipe, so *forked* replicas
-        — whose numerics are snapshot copies, not the learner's shared
-        object — pick up the switch mid-flight
-        (:meth:`CollectorWorker.apply_precision_switch`).  The
-        in-process synchronous modes never need this: their replicas share
-        the learner's numerics object, and the training loop drives the
-        controller itself.
+        Environment steps between actor-weight broadcasts: a round
+        broadcasts at the first boundary where the counter has reached the
+        interval.
     """
 
     def __init__(
@@ -493,8 +415,6 @@ class AsyncCollector:
         *,
         source_agent=None,
         sync_interval: int = 1,
-        chunk_lock_steps: int = 8,
-        qat_controller=None,
     ):
         workers = list(workers)
         if not workers:
@@ -507,19 +427,11 @@ class AsyncCollector:
             raise ValueError(f"worker ids must be unique, got {ids}")
         if sync_interval <= 0:
             raise ValueError(f"sync_interval must be positive, got {sync_interval}")
-        if chunk_lock_steps <= 0:
-            raise ValueError(f"chunk_lock_steps must be positive, got {chunk_lock_steps}")
         self.workers = workers
         self.buffer = buffer
         self.source_agent = source_agent
         self.sync_interval = sync_interval
-        self.chunk_lock_steps = chunk_lock_steps
-        self.qat_controller = qat_controller
         self._steps_since_sync = 0
-        # Fleet-wide drained async steps, cumulative across collect() calls:
-        # the QAT controller counts environment steps over the whole run, so
-        # a quantization delay spanning several collects must still fire.
-        self._qat_steps = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -584,7 +496,7 @@ class AsyncCollector:
         self._steps_since_sync = 0
 
     # ------------------------------------------------------------------ #
-    # Synchronous (deterministic) mode
+    # Deterministic rounds
     # ------------------------------------------------------------------ #
     def step_sync(self, drain: bool = True) -> List[VectorTransitions]:
         """One deterministic round: every worker steps once, in id order.
@@ -628,7 +540,14 @@ class AsyncCollector:
                 transitions.dones,
             )
 
-    def _collect_sync(self, num_steps: int) -> AsyncCollectStats:
+    def collect(self, num_steps: int) -> AsyncCollectStats:
+        """Collect at least ``num_steps`` environment steps into the buffer.
+
+        Runs whole deterministic rounds, so the total rounds up to a
+        multiple of ``num_workers * num_envs``.
+        """
+        if num_steps <= 0:
+            raise ValueError(f"num_steps must be positive, got {num_steps}")
         rounds = -(-num_steps // self.steps_per_round)
         episodes_before = {w.worker_id: len(w.engine.episode_returns) for w in self.workers}
         modelled_before = {
@@ -641,7 +560,6 @@ class AsyncCollector:
         stats = AsyncCollectStats(
             num_workers=self.num_workers,
             num_envs=self.num_envs,
-            mode="sync",
             total_steps=rounds * self.steps_per_round,
             iterations=rounds,
             wall_seconds=wall,
@@ -662,229 +580,3 @@ class AsyncCollector:
             stats.episodes += worker_stats.episodes
             stats.modelled_platform_seconds += worker_stats.modelled_platform_seconds
         return stats
-
-    # ------------------------------------------------------------------ #
-    # Asynchronous (multi-process) mode
-    # ------------------------------------------------------------------ #
-    def _collect_async(self, num_steps: int, timeout: float) -> AsyncCollectStats:
-        # Fork keeps the constructed workers (envs, replicas, RNG states)
-        # without a picklable-spec round trip; every platform this repo
-        # targets provides it.  The bounded queue gives backpressure: workers
-        # pause when the coordinator falls behind instead of ballooning RAM.
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        transition_queue = ctx.Queue(maxsize=4 * self.num_workers)
-        processes = []
-        pipes = {}
-        for worker in self.workers:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_worker_loop,
-                args=(worker, self.chunk_lock_steps, transition_queue, child_conn),
-                daemon=True,
-            )
-            processes.append(process)
-            pipes[worker.worker_id] = parent_conn
-
-        stats = AsyncCollectStats(
-            num_workers=self.num_workers,
-            num_envs=self.num_envs,
-            mode="async",
-            per_worker=[None] * self.num_workers,
-        )
-        id_to_slot = {w.worker_id: slot for slot, w in enumerate(self.workers)}
-        start = time.perf_counter()
-        for process in processes:
-            process.start()
-
-        exits = 0
-        stop_sent = False
-        failure: Optional[str] = None
-        try:
-            while exits < self.num_workers:
-                try:
-                    kind, worker_id, payload = transition_queue.get(timeout=timeout)
-                except queue_module.Empty:
-                    dead = [p.pid for p in processes if not p.is_alive()]
-                    raise RuntimeError(
-                        f"async collection stalled for {timeout}s "
-                        f"(dead worker pids: {dead})"
-                    ) from None
-                if kind == "chunk":
-                    self.buffer.add_batch(
-                        payload["states"],
-                        payload["actions"],
-                        payload["rewards"],
-                        payload["next_states"],
-                        payload["dones"],
-                    )
-                    stats.total_steps += payload["steps"]
-                    stats.episodes += len(payload["episode_returns"])
-                    stats.modelled_platform_seconds += payload[
-                        "modelled_platform_seconds"
-                    ]
-                    self._steps_since_sync += payload["steps"]
-                    self._qat_steps += payload["steps"]
-                    if self.qat_controller is not None and not self.qat_controller.switched:
-                        # The controller counts fleet-wide environment steps
-                        # (cumulative across collect() calls); when the delay
-                        # elapses, the switch must reach the forked replicas'
-                        # snapshot numerics through the command pipe (the
-                        # learner's object is not shared across the fork).
-                        event = self.qat_controller.on_timestep(self._qat_steps)
-                        if event is not None:
-                            # The payload is driver-shaped: a bare quantizer
-                            # for the global switch, a PrecisionPlan for
-                            # per-layer policies (duck-typed fallback keeps
-                            # minimal controller substitutes working).
-                            payload_fn = getattr(
-                                self.qat_controller, "broadcast_payload", None
-                            )
-                            precision_payload = (
-                                payload_fn()
-                                if payload_fn is not None
-                                else self.qat_controller.numerics.quantizer
-                            )
-                            _send_to_all(pipes, ("precision", precision_payload))
-                    if (
-                        self.source_agent is not None
-                        and not stop_sent
-                        and self._steps_since_sync >= self.sync_interval
-                    ):
-                        params = self._actor_parameters()
-                        _send_to_all(pipes, ("weights", params))
-                        self._steps_since_sync = 0
-                    if stats.total_steps >= num_steps and not stop_sent:
-                        _send_to_all(pipes, ("stop", None))
-                        stop_sent = True
-                elif kind == "exit":
-                    exits += 1
-                    slot = id_to_slot[worker_id]
-                    stats.per_worker[slot] = payload["stats"]
-                    # Adopt the child's advanced engine (env/noise/warmup RNG
-                    # streams, step counters, episode returns) so a later
-                    # collect continues the trajectories instead of replaying
-                    # the pre-fork state.  Shared-agent workers keep acting
-                    # through the parent's learner, not the forked copy.
-                    worker = self.workers[slot]
-                    child_engine = payload["engine"]
-                    if worker.shared_agent:
-                        child_engine.agent = worker.engine.agent
-                    worker.engine = child_engine
-                elif kind == "error":
-                    failure = f"worker {worker_id} failed: {payload}"
-                    exits += 1
-                if failure and not stop_sent:
-                    _send_to_all(pipes, ("stop", None))
-                    stop_sent = True
-        finally:
-            for process in processes:
-                process.join(timeout=timeout)
-                if process.is_alive():  # pragma: no cover - defensive cleanup
-                    process.terminate()
-            transition_queue.close()
-            for conn in pipes.values():
-                conn.close()
-        if failure:
-            raise RuntimeError(failure)
-        stats.wall_seconds = time.perf_counter() - start
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Entry point
-    # ------------------------------------------------------------------ #
-    def collect(
-        self, num_steps: int, *, mode: str = "sync", timeout: float = 120.0
-    ) -> AsyncCollectStats:
-        """Collect at least ``num_steps`` environment steps into the buffer.
-
-        ``mode="sync"`` runs whole deterministic rounds (steps round up to a
-        multiple of ``num_workers * num_envs``); ``mode="async"`` free-runs
-        the workers in forked processes until the drained total reaches
-        ``num_steps`` (stragglers already in flight are drained too, so the
-        total can overshoot by a few chunks).
-        """
-        if num_steps <= 0:
-            raise ValueError(f"num_steps must be positive, got {num_steps}")
-        if mode == "sync":
-            return self._collect_sync(num_steps)
-        if mode == "async":
-            return self._collect_async(num_steps, timeout)
-        raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
-
-
-def _send_to_all(pipes, message) -> None:
-    """Best-effort command broadcast: a worker may have exited concurrently."""
-    for conn in pipes.values():
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):  # worker already gone
-            pass
-
-
-def _worker_loop(worker: CollectorWorker, chunk_lock_steps, transition_queue, conn) -> None:
-    """Body of one forked collection worker process."""
-    stop = False
-
-    def drain_commands() -> None:
-        nonlocal stop
-        while conn.poll():
-            kind, payload = conn.recv()
-            if kind == "stop":
-                stop = True
-            elif kind == "weights":
-                worker.sync_weights(payload)
-            elif kind == "precision":
-                worker.apply_precision_switch(payload)
-
-    try:
-        if worker.engine.observations is None:
-            worker.engine.reset()
-        worker_start = time.perf_counter()
-        # Exit stats count only *delivered* chunks (a chunk in flight when
-        # "stop" lands is dropped), so per-worker totals always agree with
-        # what the coordinator drained into the shared buffer.
-        delivered_steps = 0
-        delivered_episodes = 0
-        delivered_modelled = 0.0
-        while True:
-            drain_commands()
-            if stop:
-                break
-            chunk = worker.collect_chunk(chunk_lock_steps)
-            # The bounded queue is the backpressure valve: when it is full we
-            # must keep draining the command pipe while waiting, or a weight
-            # broadcast would fill the pipe, block the coordinator's send,
-            # and deadlock the drain loop against this very put.
-            while not stop:
-                try:
-                    transition_queue.put(
-                        ("chunk", worker.worker_id, chunk), timeout=0.05
-                    )
-                    delivered_steps += chunk["steps"]
-                    delivered_episodes += len(chunk["episode_returns"])
-                    delivered_modelled += chunk["modelled_platform_seconds"]
-                    break
-                except queue_module.Full:
-                    drain_commands()
-            if stop:
-                break
-        wall = time.perf_counter() - worker_start
-        exit_stats = RolloutStats(
-            num_envs=worker.num_envs,
-            total_steps=delivered_steps,
-            iterations=delivered_steps // worker.num_envs,
-            episodes=delivered_episodes,
-            wall_seconds=wall,
-            modelled_platform_seconds=delivered_modelled,
-        )
-        # Ship the engine back so the coordinator can adopt the advanced
-        # env/noise/RNG state — a later collect must continue the worker's
-        # trajectories, not replay them from the pre-fork snapshot.
-        transition_queue.put(
-            ("exit", worker.worker_id, {"stats": exit_stats, "engine": worker.engine})
-        )
-    except Exception as exc:  # pragma: no cover - surfaced via the coordinator
-        transition_queue.put(("error", worker.worker_id, repr(exc)))
-    finally:
-        conn.close()

@@ -362,3 +362,78 @@ class TestAssignmentFlag:
         error_lines = capsys.readouterr().err.strip().splitlines()
         assert len(error_lines) == 1
         assert error_lines[0].startswith("error: --assignment: ")
+
+
+_TRAIN_TARGETS = pytest.mark.parametrize(
+    "target",
+    [["--benchmark", "HalfCheetah"], ["--fleet", "Hopper:1,HalfCheetah:1"]],
+    ids=["train", "fleet"],
+)
+
+
+class TestPrecisionFlags:
+    """--precision-policy / --precision-spec build the run's one driver."""
+
+    QUICK_RUN = [
+        "--timesteps", "200",
+        "--num-envs", "4",
+        "--batch-size", "16",
+        "--hidden", "16", "12",
+    ]
+
+    @_TRAIN_TARGETS
+    def test_naming_global_switch_is_the_default_run(self, target, capsys):
+        """`global-switch` *is* the built-in controller: without a spec it
+        keeps the run's own schedule (switch at timesteps // 2), so the flag
+        changes neither the curve nor the switch line."""
+        command = ["train", *target, *self.QUICK_RUN]
+        assert main(command) == 0
+        default_output = capsys.readouterr().out
+        assert main([*command, "--precision-policy", "global-switch"]) == 0
+        named_output = capsys.readouterr().out
+        assert "precision switch at t=100" in default_output
+        assert "reward curve:" in default_output
+        assert named_output == default_output
+
+    @_TRAIN_TARGETS
+    def test_explicit_spec_overrides_the_run_schedule(self, target, capsys):
+        command = [
+            "train", *target, *self.QUICK_RUN,
+            "--precision-policy", "global-switch",
+            "--precision-spec", "16@150",
+        ]
+        assert main(command) == 0
+        assert "precision switch at t=150" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "policy, spec",
+        [
+            (None, "16@10"),
+            ("global-switch", "abc"),
+            ("global-switch", "16@x"),
+            ("global-switch", "8@10"),
+            ("global-switch", "16@-5"),
+            ("global-switch", "1@10"),
+            ("per-layer", "actor=abc"),
+            ("range-driven", "tolerance=x"),
+        ],
+    )
+    @_TRAIN_TARGETS
+    def test_malformed_spec_exits_2_before_the_banner(
+        self, target, policy, spec, capsys
+    ):
+        exit_code = main(
+            [
+                "train",
+                *target,
+                "--timesteps", "96",
+                *(["--precision-policy", policy] if policy else []),
+                f"--precision-spec={spec}",
+            ]
+        )
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "training " not in captured.out
+        error_lines = captured.err.strip().splitlines()
+        assert len(error_lines) == 1
+        assert error_lines[0].startswith("error: --precision-spec: ")

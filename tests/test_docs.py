@@ -12,14 +12,19 @@ checkable in CI:
   (the benchmark harness regenerates them, so a renamed report breaks the
   table);
 * the layer directories ARCHITECTURE's map names must exist, and every
-  class the map names must still be exported by one of those layers.
+  class the map names must still be exported by one of those layers;
+* every ``Class.attribute`` either document names must still exist on a
+  class somewhere under ``repro``.
 
 Run the set alone with ``pytest -m docs``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -77,6 +82,49 @@ def test_architecture_layer_map_names_resolve():
         if not any(hasattr(package, name) for package in packages)
     )
     assert not dangling, f"ARCHITECTURE's layer map names missing classes: {dangling}"
+
+
+_CLASS_ATTRIBUTE = re.compile(
+    r"`((?=[A-Za-z0-9]*[a-z])[A-Z][A-Za-z0-9]*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`"
+)
+
+
+def test_documented_class_attributes_resolve():
+    """Every backticked ``CamelCase.attribute`` in the docs is a live member.
+
+    A method deleted from the code must leave ARCHITECTURE and the README
+    too: each name has to resolve — as an attribute, property or dataclass
+    field — on a class of that name defined or re-exported under ``repro``.
+    """
+    import repro
+
+    classes: dict = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if inspect.isclass(value):
+                classes.setdefault(name, set()).add(value)
+
+    def resolves(class_name: str, attribute: str) -> bool:
+        for cls in classes.get(class_name, ()):
+            if hasattr(cls, attribute):
+                return True
+            if dataclasses.is_dataclass(cls) and attribute in {
+                field.name for field in dataclasses.fields(cls)
+            }:
+                return True
+        return False
+
+    names = set()
+    for document in (ARCHITECTURE, README):
+        names.update(_CLASS_ATTRIBUTE.findall(document.read_text()))
+    assert len(names) >= 25, "the docs lost their Class.attribute references"
+    dangling = sorted(
+        f"{class_name}.{attribute}"
+        for class_name, attribute in names
+        if not resolves(class_name, attribute)
+    )
+    assert not dangling, f"docs name members that no longer exist: {dangling}"
 
 
 def test_readme_import_lines_execute():

@@ -22,7 +22,6 @@ from repro.rl import (
     DDPGConfig,
     GlobalSwitchPolicy,
     PerLayerSchedulePolicy,
-    PrecisionPlan,
     PrecisionPolicy,
     QATController,
     QATSchedule,
@@ -127,14 +126,6 @@ class TestGlobalSwitchPolicy:
         assert b.half_mode
         assert b.quantizer.delta == a.quantizer.delta
         assert b.quantizer.zero_point == a.quantizer.zero_point
-
-    def test_broadcast_payload_is_the_bare_quantizer(self, rng):
-        numerics = _numerics()
-        numerics.observe_activation(rng.uniform(-1, 1, size=50))
-        policy = GlobalSwitchPolicy(numerics, QATSchedule(16, quantization_delay=0))
-        assert policy.on_timestep(0) is not None
-        # Identical pipe payload to the pre-refactor coordinator broadcast.
-        assert policy.broadcast_payload() is numerics.quantizer
 
     def test_from_spec_grammar(self):
         policy = GlobalSwitchPolicy.from_spec(_numerics(), "16@1000")
@@ -276,27 +267,6 @@ class TestPerLayerSchedulePolicy:
         assert switch.activation_max == pytest.approx(3.0)
         assert switch.delta == quantizer.delta
         assert switch.zero_point == quantizer.zero_point
-
-    def test_plan_roundtrips_through_adopt_plan(self):
-        numerics = _numerics()
-        for layer in ("actor_fc0", "actor_out"):
-            _observe(numerics, layer)
-        policy = PerLayerSchedulePolicy(numerics, [("actor", 16, 0)])
-        policy.on_timestep(0)
-        plan = policy.plan()
-        assert isinstance(plan, PrecisionPlan)
-        assert plan.activation_bits("actor_fc0") == 16
-        assert plan.activation_bits("critic_fc0") == 32
-        assert plan.weight_bits == 32 and plan.gradient_bits == 32
-        assert policy.broadcast_payload() == plan
-
-        replica = _numerics()
-        replica.adopt_plan(plan)
-        assert replica.layer_activation_bits("actor_fc0") == 16
-        original = numerics.layer_quantizers["actor_fc0"]
-        adopted = replica.layer_quantizers["actor_fc0"]
-        assert adopted.delta == original.delta
-        assert adopted.zero_point == original.zero_point
 
     def test_precision_state_reports_partial_plan(self):
         numerics = _numerics()

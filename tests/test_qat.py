@@ -119,12 +119,6 @@ class TestController:
         assert controller.precision_state() == {"default": 16, "layers": {}}
         assert controller.precision_state() == numerics.precision_profile()
 
-    def test_broadcast_payload_is_the_frozen_quantizer(self, rng):
-        controller, numerics = self._controller(delay=5)
-        numerics.observe_activation(rng.uniform(-1, 1, size=20))
-        assert controller.on_timestep(5) is not None
-        assert controller.broadcast_payload() is numerics.quantizer
-
     def test_activation_bits_trust_restored_half_mode_numerics(self, rng):
         """A controller resumed on checkpoint-restored numerics that are
         already in half mode must report half precision even though *it*

@@ -1,4 +1,4 @@
-"""Tests for the asynchronous multi-worker collection subsystem.
+"""Tests for the multi-worker collection subsystem.
 
 The load-bearing guarantees:
 
@@ -8,8 +8,8 @@ The load-bearing guarantees:
 * the synchronous collector with one shared-agent worker is *bit-exact*
   with driving the PR-1 :class:`RolloutEngine` directly, which extends the
   scalar-equivalence oracle to ``train(num_workers=1)``;
-* the asynchronous (multi-process) mode drains every worker's transitions
-  into the one shared replay buffer and aggregates per-worker stats.
+* replicas share the learner's numerics object, so a precision switch
+  reaches every worker of ``train`` / ``train_fleet`` by sharing.
 """
 
 from __future__ import annotations
@@ -126,15 +126,6 @@ class TestCollectorWorker:
         with pytest.raises(ValueError, match="shared"):
             CollectorWorker(0, engine)
 
-    def test_collect_chunk_stacks_lock_steps(self):
-        agent = _agent(HopperEnv())
-        worker = _worker(0, agent, num_envs=2)
-        worker.engine.reset()
-        chunk = worker.collect_chunk(3)
-        assert chunk["steps"] == 6
-        assert chunk["states"].shape == (6, worker.engine.env.state_dim)
-        assert chunk["dones"].shape == (6,)
-
     def test_stats_snapshot_counts(self):
         agent = _agent(HopperEnv())
         platform = FixarPlatform(WorkloadSpec.from_environment(HopperEnv()))
@@ -170,7 +161,7 @@ class TestSyncCollector:
         collector = AsyncCollector(
             [CollectorWorker(0, worker_engine, shared_agent=True)], collector_buffer
         )
-        stats = collector.collect(200, mode="sync")
+        stats = collector.collect(200)
 
         assert stats.total_steps == engine.total_env_steps
         assert len(engine_buffer) == len(collector_buffer)
@@ -186,7 +177,7 @@ class TestSyncCollector:
             buffer = ReplayBuffer(5_000, 11, 6, seed=0)
             workers = [_worker(w, agent, num_envs=2, seed=5) for w in range(3)]
             collector = AsyncCollector(workers, buffer, source_agent=agent)
-            collector.collect(120, mode="sync")
+            collector.collect(120)
             return buffer
 
         first, second = run(), run()
@@ -232,186 +223,82 @@ class TestSyncCollector:
         with pytest.raises(ValueError, match="sync_interval"):
             AsyncCollector([_worker(0, agent, num_envs=2)], buffer, sync_interval=0)
 
-
-class TestAsyncMode:
-    @pytest.mark.smoke
-    def test_async_collect_smoke(self):
-        """2 forked workers x 2 envs drain into one shared buffer."""
-        agent = _agent(HopperEnv())
-        platform = FixarPlatform(WorkloadSpec.from_environment(HopperEnv()))
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
-        workers = [
-            _worker(w, agent, num_envs=2, platform=platform) for w in range(2)
-        ]
-        collector = AsyncCollector(
-            workers, buffer, source_agent=agent, sync_interval=16
-        )
-        stats = collector.collect(64, mode="async", timeout=60)
-        assert stats.mode == "async"
-        assert stats.total_steps >= 64
-        assert len(buffer) == min(stats.total_steps, buffer.capacity)
-        assert stats.steps_per_second > 0
-        assert stats.modelled_platform_seconds > 0
-        assert len(stats.per_worker) == 2
-        assert all(worker_stats.total_steps > 0 for worker_stats in stats.per_worker)
-        # Per-worker exit stats count only delivered chunks, so they agree
-        # exactly with what the coordinator drained.
-        assert sum(w.total_steps for w in stats.per_worker) == stats.total_steps
-
-    def test_repeated_async_collects_continue_trajectories(self):
-        """The coordinator adopts the children's advanced state: a second
-        async collect continues the workers' env/RNG streams instead of
-        replaying identical transitions from the pre-fork snapshot."""
-        agent = _agent(HopperEnv())
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
-        collector = AsyncCollector(
-            [_worker(0, agent, num_envs=2)], buffer, sync_interval=1_000_000
-        )
-        first = collector.collect(32, mode="async", timeout=60)
-        steps_after_first = collector.total_env_steps
-        assert steps_after_first >= first.total_steps  # counters advanced
-        size_first = len(buffer)
-        first_row = buffer._states[0].copy()
-
-        collector.collect(32, mode="async", timeout=60)
-        assert collector.total_env_steps > steps_after_first
-        # The replay bug made the second run re-insert the first run's rows.
-        assert not np.array_equal(buffer._states[size_first], first_row)
-
-    def test_rejects_unknown_mode(self):
+    def test_rejects_nonpositive_budget(self):
         agent = _agent(HopperEnv())
         collector = AsyncCollector(
             [_worker(0, agent, num_envs=2)], ReplayBuffer(100, 11, 6)
         )
-        with pytest.raises(ValueError, match="mode"):
-            collector.collect(10, mode="turbo")
         with pytest.raises(ValueError, match="num_steps"):
             collector.collect(0)
 
 
-class TestForkedReplicaQatPropagation:
-    """The PR-2/PR-4 open seam: a QAT switch must reach *forked* replicas.
+class TestReplicasShareLearnerNumerics:
+    """A precision switch reaches collection replicas by sharing, not broadcast.
 
-    In-process replicas share the learner's numerics object, so a precision
-    switch lands on them implicitly; a forked worker owns a snapshot copy.
-    The coordinator therefore drives the shared QAT controller on the
-    drained step count and, when the switch fires mid-flight, broadcasts a
-    ``("precision", quantizer)`` control message through every worker's
-    command pipe — the regression below pins that the adopted post-run
-    replicas really switched and adopted the *learner's* quantization grid.
+    Every replica is built on the learner's own numerics object, so the
+    mid-run QAT switch puts the whole fleet on one quantization grid.
     """
 
-    def _dynamic_agent(self, env):
-        from repro.nn import DynamicFixedPointNumerics
+    @pytest.fixture
+    def built_groups(self, monkeypatch):
+        from repro.rl import training
 
+        groups = []
+        build = training._build_groups
+
+        def recording_build(*args, **kwargs):
+            built = build(*args, **kwargs)
+            groups.extend(built)
+            return built
+
+        monkeypatch.setattr(training, "_build_groups", recording_build)
+        return groups
+
+    def _dynamic_agent(self, env):
         return DDPGAgent(
             env.state_dim,
             env.action_dim,
             DDPGConfig(hidden_sizes=(24, 16)),
-            numerics=DynamicFixedPointNumerics(num_bits=16),
+            numerics=make_numerics("fixar-dynamic", num_bits=16),
             rng=np.random.default_rng(42),
         )
 
-    def test_precision_switch_reaches_forked_replicas_mid_flight(self):
-        from repro.rl import QATController, QATSchedule
-
-        env = HopperEnv(seed=0, max_episode_steps=30)
-        agent = self._dynamic_agent(env)
-        # The learner has observed activations (as any real training loop
-        # has, through its updates), so its range tracker is initialized and
-        # the controller can freeze a quantizer the fleet should adopt.
-        agent.act(env.reset())
-        assert agent.numerics.range_tracker.initialized
-
-        controller = QATController(
-            agent.numerics, QATSchedule(num_bits=16, quantization_delay=16)
-        )
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
-        workers = [_worker(w, agent, num_envs=2) for w in range(2)]
-        for worker in workers:
-            replica_numerics = worker.engine.agent.actor.numerics
-            assert replica_numerics is agent.numerics  # shared until the fork
-        collector = AsyncCollector(
-            workers,
-            buffer,
-            source_agent=agent,
-            sync_interval=1_000_000,  # isolate the precision message
-            qat_controller=controller,
-        )
-        stats = collector.collect(128, mode="async", timeout=60)
-
-        assert stats.total_steps >= 128
-        assert controller.switched
+    def _assert_replicas_switched_with(self, groups, agent):
+        workers = [worker for group in groups for worker in group.collector.workers]
+        assert len(workers) == 2
         assert agent.numerics.half_mode
         for worker in workers:
             replica_numerics = worker.engine.agent.actor.numerics
-            # The adopted engine is the child's copy — a different object —
-            # and it picked the switch up through the command pipe.
-            assert replica_numerics is not agent.numerics
+            assert replica_numerics is agent.numerics
             assert replica_numerics.half_mode
-            # The replica adopted the learner's frozen quantizer, not a
-            # privately observed range: one quantization grid fleet-wide.
-            assert replica_numerics.quantizer is not None
-            assert replica_numerics.quantizer.delta == agent.numerics.quantizer.delta
-            assert (
-                replica_numerics.quantizer.zero_point
-                == agent.numerics.quantizer.zero_point
-            )
+            assert replica_numerics.quantizer is agent.numerics.quantizer
 
-    def test_switch_counts_steps_across_multiple_collects(self):
-        """The quantization delay spans collect() calls: the coordinator's
-        fleet-wide step counter must be cumulative, not per-call."""
+    def test_train_replicas_pick_up_the_mid_run_switch(self, built_groups):
         from repro.rl import QATController, QATSchedule
 
-        env = HopperEnv(seed=0, max_episode_steps=30)
+        env = HopperEnv(seed=5, max_episode_steps=40)
         agent = self._dynamic_agent(env)
-        agent.act(env.reset())
-        # The delay is far beyond any single collect's worst-case overshoot
-        # (stragglers already queued when the stop lands), but within the
-        # two collects' combined minimum.
-        controller = QATController(
-            agent.numerics, QATSchedule(num_bits=16, quantization_delay=256)
-        )
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
-        workers = [_worker(w, agent, num_envs=2) for w in range(2)]
-        collector = AsyncCollector(
-            workers,
-            buffer,
-            source_agent=agent,
-            sync_interval=1_000_000,
+        controller = QATController(agent.numerics, QATSchedule(16, 100))
+        result = train(
+            env, agent, _config(total_timesteps=200, num_envs=2, num_workers=2),
+            eval_env=HopperEnv(seed=9, max_episode_steps=40),
             qat_controller=controller,
         )
-        collector.collect(64, mode="async", timeout=60)
-        assert not controller.switched  # delay not reached yet
-        collector.collect(256, mode="async", timeout=60)
-        assert controller.switched  # cumulative 320+ steps crossed 256
-        for worker in workers:
-            assert worker.engine.agent.actor.numerics.half_mode
+        assert result.qat_event is not None and controller.switched
+        self._assert_replicas_switched_with(built_groups, agent)
 
-    def test_apply_precision_switch_is_idempotent_and_guarded(self):
-        env = HopperEnv(seed=0, max_episode_steps=30)
-        dynamic_agent = self._dynamic_agent(env)
-        worker = _worker(0, dynamic_agent, num_envs=2)
-        numerics = worker.engine.agent.actor.numerics
+    def test_fleet_replicas_pick_up_the_mid_run_switch(self, built_groups):
+        from repro.rl import QATController, QATSchedule, train_fleet
 
-        # Without a quantizer and without an initialized tracker: no-op.
-        worker.apply_precision_switch(None)
-        assert not numerics.half_mode
-
-        # With the worker's own observed range: freezes locally.
-        worker.engine.reset()
-        worker.step()
-        worker.apply_precision_switch(None)
-        assert numerics.half_mode
-        first_quantizer = numerics.quantizer
-
-        # Already switched: a second message must not re-freeze.
-        worker.apply_precision_switch(None)
-        assert numerics.quantizer is first_quantizer
-
-        # Non-dynamic numerics: the message is ignored entirely.
-        float_worker = _worker(1, _agent(env), num_envs=2)
-        float_worker.apply_precision_switch(None)  # must not raise
+        agent = self._dynamic_agent(HopperEnv())
+        controller = QATController(agent.numerics, QATSchedule(16, 100))
+        result = train_fleet(
+            {"Hopper": agent},
+            _config(total_timesteps=200, num_envs=2, fleet="Hopper:2"),
+            qat_controller=controller,
+        )
+        assert result.qat_event is not None and controller.switched
+        self._assert_replicas_switched_with(built_groups, agent)
 
 
 class TestTrainWithWorkers:
@@ -564,7 +451,7 @@ class TestPlatformAccounting:
         buffer = ReplayBuffer(5_000, 11, 6, seed=0)
         workers = [_worker(w, agent, num_envs=2, platform=platform) for w in range(2)]
         collector = AsyncCollector(workers, buffer, source_agent=agent)
-        stats = collector.collect(40, mode="sync")
+        stats = collector.collect(40)
         lock_steps_per_worker = stats.per_worker[0].iterations
         expected = (
             2 * lock_steps_per_worker * platform.infer_batch(2).total_seconds
