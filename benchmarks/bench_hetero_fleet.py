@@ -291,86 +291,6 @@ def test_hetero_fleet_modelled_contract(benchmark, save_report):
     assert weighted_steps >= round_robin_steps
 
 
-def test_adaptive_schedule_across_precision_switch(save_report):
-    """Adaptive weighted rounds never lose to static weights across a switch.
-
-    A precision policy switching the actor layers to 16 bits mid-run
-    changes the modelled platform, so the lock-step weights priced on the
-    full-precision oracle are stale for the post-switch epoch.  The
-    adaptive schedule (``--schedule adaptive``) re-locks at the precision
-    epoch boundary from the ``with_precision_state`` oracle; the contract
-    is that its modelled end-to-end time over a run that crosses the switch
-    is never worse than keeping the pre-switch static weights throughout.
-    """
-    platform_full = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-    post_state = {
-        "default": 32,
-        "layers": {"actor_fc0": 16, "actor_fc1": 16, "actor_out": 16},
-    }
-    platform_post = platform_full.with_precision_state(post_state)
-
-    class _Group:
-        def __init__(self, key, workers, width):
-            self.key, self.num_workers, self.num_envs = key, workers, width
-
-    groups = [
-        _Group(name.lower(), count, NUM_ENVS) for name, count in MIXED_FLEET
-    ]
-    fleet = list(MIXED_FLEET)
-    static_policy = ThroughputWeightedPolicy(platform=platform_full)
-    adaptive_policy = ThroughputWeightedPolicy(
-        platform=platform_full, adaptive=True
-    )
-    weights_pre = static_policy.lock_steps(groups)
-    weights_post = (
-        adaptive_policy.relock(groups, precision_state=post_state) or weights_pre
-    )
-
-    def sps(platform, weights):
-        return platform.fleet_training_steps_per_second(
-            fleet, NUM_ENVS, BATCH_SIZE, weights=weights
-        )
-
-    total_steps = 100_000
-    switch_fraction = 0.5
-    pre_steps = total_steps * switch_fraction
-    post_steps = total_steps - pre_steps
-    pre_seconds = pre_steps / sps(platform_full, weights_pre)
-    static_seconds = pre_seconds + post_steps / sps(platform_post, weights_pre)
-    adaptive_seconds = pre_seconds + post_steps / sps(platform_post, weights_post)
-
-    save_report(
-        "hetero_fleet_adaptive",
-        "\n".join(
-            [
-                "Adaptive vs static weighted schedule across a precision "
-                "switch (modelled)",
-                f"  fleet: {', '.join(f'{n}:{c}' for n, c in MIXED_FLEET)} "
-                f"x {NUM_ENVS} envs, batch {BATCH_SIZE}",
-                f"  switch: actor layers -> 16 bits at "
-                f"{switch_fraction:.0%} of {total_steps:,} steps",
-                f"  weights pre-switch : {weights_pre}",
-                f"  weights post-switch: {weights_post} "
-                f"({'re-locked' if weights_post != weights_pre else 'unchanged'})",
-                f"  static  total time : {static_seconds:9.2f} s "
-                f"({total_steps / static_seconds:8.1f} steps/sec)",
-                f"  adaptive total time: {adaptive_seconds:9.2f} s "
-                f"({total_steps / adaptive_seconds:8.1f} steps/sec)",
-                "  contract: adaptive end-to-end throughput >= static "
-                "weighted across the switch",
-            ]
-        ),
-    )
-
-    # The adaptive re-lock is deterministic and never prices worse than the
-    # stale static allocation on the post-switch platform.
-    assert weights_post == (
-        adaptive_policy.relock(groups, precision_state=post_state) or weights_pre
-    )
-    assert sps(platform_post, weights_post) >= sps(platform_post, weights_pre)
-    assert adaptive_seconds <= static_seconds
-
-
 def test_hetero_fleet_homogeneous_spec_matches_worker_path():
     """A Hopper:4 fleet spec reproduces train(num_workers=4) bit for bit."""
     numerics = make_numerics("float32")

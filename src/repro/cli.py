@@ -162,6 +162,11 @@ def _assignment_error(args: argparse.Namespace, error: ValueError) -> int:
     return 2
 
 
+def _pool_text(devices: int) -> str:
+    """Banner suffix naming the device pool (empty on the single-FPGA path)."""
+    return f", {devices}-device pool (colocated)" if devices > 1 else ""
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser with all sub-commands."""
     parser = argparse.ArgumentParser(
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "object / QAT schedule; overrides --benchmark and "
                             "replaces --num-workers as the fleet sizing")
     train.add_argument("--schedule",
-                       choices=("sequential", "pipelined", "weighted", "adaptive"),
+                       choices=("sequential", "pipelined", "weighted"),
                        default=None,
                        help="round-scheduling policy (default: resolved from "
                             "--pipeline-depth — 0 is sequential, otherwise "
@@ -211,10 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "lock-steps per round to fleet benchmarks with "
                             "cheaper modelled host+inference chains (the "
                             "throughput-weighted schedule, priced on the "
-                            "modelled platform); 'adaptive' additionally "
-                            "re-prices those lock-step weights when a "
-                            "precision switch changes the modelled platform "
-                            "(pair with --precision-policy)")
+                            "modelled platform)")
     train.add_argument("--devices", type=_positive_int, default=1,
                        help="accelerators in the device pool serving the run "
                             "(1 = the single-FPGA path); fleet benchmark "
@@ -223,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "homogeneous batch shards across them — devices "
                             "change only the modelled pricing, never the "
                             "training numerics")
-    train.add_argument("--placement", choices=("colocated", "disaggregated"),
-                       default="colocated",
-                       help="where the learners' update streams run: "
-                            "'colocated' shares each group's collection "
-                            "device, 'disaggregated' dedicates the pool's "
-                            "last device to updates (needs --devices >= 2)")
     train.add_argument("--assignment", type=_assignment_spec, default=None,
                        metavar="POLICY|MAPPING",
                        help="device-assignment policy for fleet benchmark "
@@ -298,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--devices", type=_positive_int, default=1,
                        help="accelerators in the serving pool; flushes "
                             "shard near-equally over the collection devices")
-    serve.add_argument("--placement", choices=("colocated", "disaggregated"),
-                       default="colocated",
-                       help="pool placement (disaggregated reserves the "
-                            "last device for update streams; needs "
-                            "--devices >= 2)")
     serve.add_argument("--hidden", type=int, nargs=2, default=(64, 48),
                        metavar=("H1", "H2"),
                        help="actor hidden sizes when serving a fresh actor "
@@ -400,7 +391,6 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
             fleet=fleet_spec,
             schedule=args.schedule,
             devices=args.devices,
-            placement=args.placement,
             assignment=args.assignment,
         )
     except ValueError as error:
@@ -409,7 +399,7 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     platform = None
-    if args.schedule in ("weighted", "adaptive") or args.devices > 1:
+    if args.schedule == "weighted" or args.devices > 1:
         # The throughput-weighted policy prices each benchmark's host +
         # inference chain on the modelled platform; without an oracle it
         # would degrade to round-robin weights.  A multi-accelerator run
@@ -420,17 +410,11 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
             )
         )
         if args.devices > 1:
-            platform = AcceleratorPool(
-                platform, args.devices, placement=args.placement
-            )
+            platform = AcceleratorPool(platform, args.devices)
     schedule = args.schedule or (
         f"pipelined depth {args.pipeline_depth}" if args.pipeline_depth else "sequential"
     )
-    pool_text = (
-        f", {args.devices}-device pool ({args.placement})"
-        if args.devices > 1
-        else ""
-    )
+    pool_text = _pool_text(args.devices)
     fleet_text = ",".join(
         f"{benchmark}:{count}" + ("" if width is None else f":{width}")
         for benchmark, count, width in fleet_spec
@@ -506,15 +490,10 @@ def _command_train(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.cosim and (
-        args.devices != 1
-        or args.placement != "colocated"
-        or args.assignment is not None
-    ):
+    if args.cosim and (args.devices != 1 or args.assignment is not None):
         print(
             "error: --cosim traces the single-accelerator scalar training "
-            "loop and does not support --devices > 1, --placement, or "
-            "--assignment",
+            "loop and does not support --devices > 1 or --assignment",
             file=sys.stderr,
         )
         return 2
@@ -578,7 +557,6 @@ def _command_train(args: argparse.Namespace) -> int:
             pipeline_depth=args.pipeline_depth,
             schedule=args.schedule,
             devices=args.devices,
-            placement=args.placement,
             assignment=args.assignment,
             precision=args.precision_policy,
             precision_spec=args.precision_spec,
@@ -595,11 +573,7 @@ def _command_train(args: argparse.Namespace) -> int:
     schedule = args.schedule or (
         f"pipelined depth {args.pipeline_depth}" if args.pipeline_depth else "sequential"
     )
-    pool_text = (
-        f", {args.devices}-device pool ({args.placement})"
-        if args.devices > 1
-        else ""
-    )
+    pool_text = _pool_text(args.devices)
     print(f"training {args.regime} on {args.benchmark} for {args.timesteps} timesteps "
           f"(batch {args.batch_size}, hidden {tuple(args.hidden)}, "
           f"{args.num_workers} worker{'s' if args.num_workers != 1 else ''} x "
@@ -655,17 +629,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             batch_cap=args.batch_cap,
             seed=args.seed,
             devices=args.devices,
-            placement=args.placement,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    if config.placement == "disaggregated" and config.devices < 2:
-        print(
-            "error: --placement disaggregated needs --devices >= 2 "
-            "(the last device is reserved for update streams)",
-            file=sys.stderr,
-        )
         return 2
 
     dims = benchmark_dimensions(args.benchmark)
@@ -673,14 +639,14 @@ def _command_serve(args: argparse.Namespace) -> int:
         try:
             agent, _metadata = restore_serving_agent(args.checkpoint)
         except (OSError, KeyError, ValueError) as error:
-            print(f"error: cannot restore {args.checkpoint}: {error}", file=sys.stderr)
+            print(f"error: --checkpoint: {error}", file=sys.stderr)
             return 2
         if (agent.state_dim, agent.action_dim) != (
             dims["state_dim"],
             dims["action_dim"],
         ):
             print(
-                f"error: checkpoint dimensions ({agent.state_dim}, "
+                f"error: --checkpoint: dimensions ({agent.state_dim}, "
                 f"{agent.action_dim}) do not match benchmark "
                 f"{args.benchmark} ({dims['state_dim']}, {dims['action_dim']})",
                 file=sys.stderr,
@@ -703,7 +669,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         WorkloadSpec.from_benchmark(args.benchmark, hidden_sizes=hidden_sizes)
     )
     if config.devices > 1:
-        platform = AcceleratorPool(platform, config.devices, placement=config.placement)
+        platform = AcceleratorPool(platform, config.devices)
     server = PolicyServer.from_agent(agent, platform, config)
     load = SyntheticLoadGenerator(
         state_dim=dims["state_dim"], qps=config.qps, seed=config.seed
@@ -729,11 +695,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         result = server.serve_load(load)
     report = result.report
 
-    pool_text = (
-        f", {config.devices}-device pool ({config.placement})"
-        if config.devices > 1
-        else ""
-    )
+    pool_text = _pool_text(config.devices)
     print(
         f"serving {args.benchmark} ({source}): {config.num_requests} requests "
         f"at {config.qps:g} QPS offered, cap {config.batch_cap}, "

@@ -188,9 +188,7 @@ class FixarSystem:
         platform_hook = None
         if self.config.training.devices > 1:
             platform_hook = AcceleratorPool(
-                self.platform,
-                self.config.training.devices,
-                placement=self.config.training.placement,
+                self.platform, self.config.training.devices
             )
         training = self.config.training
         if self.qat_controller is not None:

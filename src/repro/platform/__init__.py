@@ -15,7 +15,7 @@ from .fixar_platform import (
 )
 from .gpu_baseline import CpuGpuPlatform, GpuAcceleratorModel, GpuConfig
 from .host import HostConfig, HostModel
-from .pool import PLACEMENTS, AcceleratorPool
+from .pool import AcceleratorPool
 from .metrics import (
     average_ips,
     geometric_mean,
@@ -32,7 +32,6 @@ __all__ = [
     "BatchInferenceReport",
     "InferenceReport",
     "AcceleratorPool",
-    "PLACEMENTS",
     "WorkloadSpec",
     "PAPER_BATCH_SIZES",
     "PlatformCoSimulation",

@@ -9,7 +9,7 @@ and the round scheduler never learn about devices.  The pool prices
 nothing itself: it resolves *which device serves which group* and hands
 the round to the kernel in :mod:`repro.platform.rounds` under its own
 topology — the single platform is the same kernel's one-device case, so a
-1-device colocated pool is bit-exact with it by construction.
+1-device pool is bit-exact with it by construction.
 
 What the pool decides:
 
@@ -19,18 +19,14 @@ What the pool decides:
   mapping).  Devices serve their assigned groups' batches serially but run
   in *parallel* with each other, so the accelerator-serial bound of a
   collection round is a per-device maximum instead of one global sum.
+  Each group's update stream runs on the device its collection is assigned
+  to: streams on different devices overlap, and each contends with its own
+  device's rollout inferences.
 * **Sharded batches** — :meth:`AcceleratorPool.infer_batch` splits one wide
   batch across the collection devices (near-equal shards, conserving the
   state count); the report's latency is the slowest shard, so the
   homogeneous wide-group path of ``train()`` and every serving flush shard
   transparently through the existing ``infer_batch`` joint.
-* **Placement** — ``"colocated"`` runs each group's update stream on the
-  device its collection is assigned to (streams on different devices
-  overlap; each stream still contends with its own device's rollout
-  inferences).  ``"disaggregated"`` reserves the pool's last device for the
-  update streams: collection spreads over the remaining devices and the
-  update side pays no rollout-inference contention, at the price of one
-  fewer collection device.
 """
 
 from __future__ import annotations
@@ -42,10 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .fixar_platform import FixarPlatform
 from .rounds import Entry, InferenceReport, Round
 
-__all__ = ["PLACEMENTS", "AcceleratorPool"]
-
-#: Update-stream placements the pool models.
-PLACEMENTS = ("colocated", "disaggregated")
+__all__ = ["AcceleratorPool"]
 
 
 class AcceleratorPool:
@@ -63,7 +56,6 @@ class AcceleratorPool:
         self,
         template: FixarPlatform,
         num_devices: int = 1,
-        placement: str = "colocated",
         assignment: Optional[Mapping[str, int]] = None,
     ):
         try:
@@ -74,18 +66,8 @@ class AcceleratorPool:
             ) from None
         if num_devices < 1:
             raise ValueError(f"num_devices must be >= 1, got {num_devices}")
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {placement!r}"
-            )
-        if placement == "disaggregated" and num_devices < 2:
-            raise ValueError(
-                "disaggregated placement dedicates one device to the update "
-                "streams, so the pool needs at least 2 devices"
-            )
         self.template = template
         self.num_devices = num_devices
-        self.placement = placement
         # Device 0 *is* the template; the rest are siblings sharing its
         # hardware models — identical timing, so any device prices any
         # workload the same way (assignment matters for contention, not
@@ -101,17 +83,9 @@ class AcceleratorPool:
     # ------------------------------------------------------------------ #
     @property
     def collection_devices(self) -> Tuple[int, ...]:
-        """Indices of the devices that serve rollout inferences."""
-        if self.placement == "disaggregated":
-            return tuple(range(self.num_devices - 1))
+        """Indices of the devices that serve rollout inferences (all of
+        them); also the attribute ``repro.rl`` detects a pool by."""
         return tuple(range(self.num_devices))
-
-    @property
-    def update_device(self) -> Optional[int]:
-        """The dedicated update device, or ``None`` when colocated."""
-        if self.placement == "disaggregated":
-            return self.num_devices - 1
-        return None
 
     def device(self, index: int) -> FixarPlatform:
         """The pool's ``index``-th device platform."""
@@ -136,8 +110,8 @@ class AcceleratorPool:
 
         Rebuilds every device from
         :meth:`FixarPlatform.with_precision_state` siblings of the
-        template, preserving the pool's size, placement, and bound
-        assignment — the pool-level half of the precision re-pricing seam
+        template, preserving the pool's size and bound assignment —
+        the pool-level half of the precision re-pricing seam
         (``None`` or an identical-pricing state returns this pool
         unchanged, mirroring the platform).
         """
@@ -147,12 +121,8 @@ class AcceleratorPool:
         return AcceleratorPool(
             template,
             num_devices=self.num_devices,
-            placement=self.placement,
             assignment=self.assignment,
         )
-
-    def describe(self) -> str:
-        return f"pool(devices={self.num_devices}, placement={self.placement})"
 
     # ------------------------------------------------------------------ #
     # Assignment resolution
@@ -175,7 +145,8 @@ class AcceleratorPool:
             if index not in collection:
                 raise ValueError(
                     f"benchmark {key!r} assigned to device {index}, but the "
-                    f"{self.describe()} collection devices are {collection}"
+                    f"{self.num_devices}-device pool's collection devices are "
+                    f"{collection}"
                 )
             normalized[str(key).lower()] = index
         return normalized
@@ -241,7 +212,7 @@ class AcceleratorPool:
 
     def _round(self, entries) -> Round:
         """A resolved fleet's round under this pool's topology."""
-        return Round(tuple(entries), self.collection_devices, self.update_device)
+        return Round(tuple(entries), self.collection_devices)
 
     def infer_batch(self, num_states: int) -> InferenceReport:
         """Price one batch-of-N inference sharded over the collection devices.
@@ -322,8 +293,7 @@ class AcceleratorPool:
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
         """Modelled time of one *sequential* training round on the pool
-        (the update term is the slowest device's blocking-update total;
-        disaggregated, the full sum on the update device)."""
+        (the update term is the slowest device's blocking-update total)."""
         return self._fleet_round(
             fleet, num_envs, weights, assignment
         ).sequential_seconds(batch_size)
@@ -337,8 +307,8 @@ class AcceleratorPool:
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
         """Modelled time of one *pipelined* training round on the pool
-        (``max(collection, slowest device stream)``; only colocated streams
-        contend with their device's rollout inferences)."""
+        (``max(collection, slowest device stream)``; each stream contends
+        with its device's rollout inferences)."""
         return self._fleet_round(
             fleet, num_envs, weights, assignment
         ).pipelined_seconds(batch_size)

@@ -4,9 +4,9 @@ A round is priced over a *resolved fleet* — one :class:`Entry` per group of
 collector workers: the sibling platform carrying the group's layer
 dimensions, its worker count, lock-step width, lock-steps per scheduled
 round, and the device that serves its rollout inferences — on a *topology*:
-the devices serving rollout inferences plus, when the update streams are
-disaggregated, the one device reserved for them.
-:class:`~repro.platform.FixarPlatform` is the topology ``((0,), None)`` and
+the devices serving rollout inferences and, each for its own groups, the
+update streams.
+:class:`~repro.platform.FixarPlatform` is the topology ``(0,)`` and
 a homogeneous ``num_workers x num_envs`` run is its one-entry fleet;
 :class:`~repro.platform.AcceleratorPool` supplies more devices.  Both
 classes only resolve their arguments into a :class:`Round` and delegate.
@@ -174,9 +174,6 @@ class Round:
     entries: Tuple[Entry, ...]
     #: Devices that serve rollout inferences.
     collection_devices: Tuple[int, ...] = (0,)
-    #: Device reserved for the update streams; ``None`` colocates each
-    #: group's stream with its collection device.
-    update_device: Optional[int] = None
 
     @property
     def steps(self) -> int:
@@ -228,18 +225,13 @@ class Round:
     def _update_streams(self, batch_size: int, pipelined: bool) -> Dict[int, float]:
         """Per-device update-phase seconds.
 
-        Colocated, each group's learner streams to the group's collection
-        device, so streams on different devices overlap; disaggregated,
-        every stream runs back to back on the update device.
+        Each group's learner streams to the group's collection device, so
+        streams on different devices overlap.
         """
-        colocated = self.update_device is None
-        streams = dict.fromkeys(
-            self.collection_devices if colocated else (self.update_device,), 0.0
-        )
+        streams = dict.fromkeys(self.collection_devices, 0.0)
         for entry in self.entries:
             updates = entry.steps if entry.updates is None else entry.updates
-            device = entry.device if colocated else self.update_device
-            streams[device] += entry.platform.update_round_seconds(
+            streams[entry.device] += entry.platform.update_round_seconds(
                 batch_size, updates, pipelined=pipelined
             )
         return streams
@@ -253,14 +245,11 @@ class Round:
     def pipelined_seconds(self, batch_size: int) -> float:
         """Update streams overlap collection: ``max(collection, update)``.
 
-        A colocated device serves both sides, so its groups' rollout
-        inference FPGA time joins its update stream; a dedicated update
-        device serves no rollout inferences and runs its stream bare.
+        A device serves both sides, so its groups' rollout inference FPGA
+        time joins its update stream.
         """
         collection = self.collection_seconds()
         streams = self._update_streams(batch_size, True)
-        if self.update_device is not None:
-            return max(collection, streams[self.update_device])
         contention = dict.fromkeys(self.collection_devices, 0.0)
         for entry in self.entries:
             contention[entry.device] += (

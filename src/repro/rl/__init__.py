@@ -47,7 +47,13 @@ behind the engine's ``act_batch``/``step`` seam rather than re-introducing
 per-transition calls.
 """
 
-from .checkpoint import checkpoint_metadata, load_agent_into, save_agent
+from .checkpoint import (
+    checkpoint_metadata,
+    load_agent_into,
+    read_checkpoint,
+    restore_agent,
+    save_agent,
+)
 from .ddpg import DDPGAgent, DDPGConfig, UpdateMetrics
 from .evaluation import EvaluationPoint, LearningCurve, compare_curves, evaluate_policy
 from .noise import DecayedNoise, GaussianNoise, NoiseProcess, OrnsteinUhlenbeckNoise
@@ -108,6 +114,8 @@ __all__ = [
     "UpdateMetrics",
     "save_agent",
     "load_agent_into",
+    "read_checkpoint",
+    "restore_agent",
     "checkpoint_metadata",
     "ReplayBuffer",
     "TransitionBatch",

@@ -11,8 +11,9 @@ JSON metadata blob, so they need nothing beyond numpy.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -21,9 +22,25 @@ from ..nn import MLP, DynamicFixedPointNumerics
 from .ddpg import DDPGAgent
 from .td3 import TD3Agent
 
-__all__ = ["save_agent", "load_agent_into", "checkpoint_metadata"]
+__all__ = [
+    "save_agent",
+    "read_checkpoint",
+    "restore_agent",
+    "load_agent_into",
+    "checkpoint_metadata",
+]
 
 _FORMAT_VERSION = 1
+
+#: Metadata keys every restore path reads.
+_REQUIRED_METADATA = (
+    "format_version",
+    "agent_class",
+    "state_dim",
+    "action_dim",
+    "update_count",
+    "numerics",
+)
 
 
 def _network_arrays(prefix: str, network: MLP) -> Dict[str, np.ndarray]:
@@ -109,6 +126,48 @@ def save_agent(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -> Pat
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
+def read_checkpoint(
+    path: Union[str, Path],
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """A checkpoint's metadata and ``network::parameter`` arrays, validated.
+
+    The one place a checkpoint file is opened and its ``__metadata__``
+    decoded.  Raises ``ValueError`` for an archive that cannot be read (not
+    a zip, truncated, a corrupt member), a missing or undecodable
+    ``__metadata__``, a missing required metadata key, and a
+    ``format_version`` other than the one this module writes; a path that
+    cannot be opened stays an ``OSError``.
+    """
+    import zipfile  # numpy loads it on first .npz use; keep it off `import repro`
+
+    try:
+        archive = np.load(Path(path), allow_pickle=False)
+        if isinstance(archive, np.ndarray):
+            raise ValueError("a bare .npy array, not an .npz archive")
+        with archive:
+            arrays = {key: archive[key] for key in archive.files}
+    except (zipfile.BadZipFile, EOFError, zlib.error, ValueError) as error:
+        raise ValueError(f"not a readable checkpoint archive: {error}") from None
+    blob = arrays.pop("__metadata__", None)
+    if blob is None:
+        raise ValueError("checkpoint archive has no __metadata__ entry")
+    try:
+        metadata = json.loads(blob.tobytes().decode("utf-8"))
+    except ValueError as error:  # bad UTF-8 or bad JSON
+        raise ValueError(f"checkpoint __metadata__ does not decode: {error}") from None
+    if not isinstance(metadata, dict):
+        raise ValueError("checkpoint __metadata__ is not a JSON object")
+    missing = [key for key in _REQUIRED_METADATA if key not in metadata]
+    if missing:
+        raise ValueError(f"checkpoint __metadata__ is missing {missing}")
+    if metadata["format_version"] != _FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint format_version {metadata['format_version']!r} is not "
+            f"the supported version {_FORMAT_VERSION}"
+        )
+    return metadata, arrays
+
+
 def load_agent_into(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -> Dict[str, object]:
     """Restore a checkpoint into an already-constructed compatible agent.
 
@@ -117,27 +176,34 @@ def load_agent_into(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -
     was taken after the QAT precision switch, the agent's dynamic numeric
     policy is switched back into half mode with the captured range.
     """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        metadata = json.loads(bytes(archive["__metadata__"].tobytes()).decode("utf-8"))
-        if metadata["agent_class"] != type(agent).__name__:
-            raise ValueError(
-                f"checkpoint holds a {metadata['agent_class']}, got a {type(agent).__name__}"
-            )
-        if metadata["state_dim"] != agent.state_dim or metadata["action_dim"] != agent.action_dim:
-            raise ValueError(
-                "checkpoint dimensions "
-                f"({metadata['state_dim']}, {metadata['action_dim']}) do not match the agent "
-                f"({agent.state_dim}, {agent.action_dim})"
-            )
-        networks = _agent_networks(agent)
-        for key in archive.files:
-            if key == "__metadata__":
-                continue
-            prefix, parameter_name = key.split("::", 1)
-            if prefix not in networks:
-                raise ValueError(f"checkpoint contains unknown network {prefix!r}")
-            networks[prefix].set_parameters({parameter_name: archive[key]})
+    metadata, arrays = read_checkpoint(path)
+    restore_agent(agent, metadata, arrays)
+    return metadata
+
+
+def restore_agent(
+    agent: Union[DDPGAgent, TD3Agent],
+    metadata: Dict[str, object],
+    arrays: Dict[str, np.ndarray],
+) -> None:
+    """Apply an already-read checkpoint (:func:`read_checkpoint`'s pair) to
+    a compatible agent — :func:`load_agent_into` without the file read."""
+    if metadata["agent_class"] != type(agent).__name__:
+        raise ValueError(
+            f"checkpoint holds a {metadata['agent_class']}, got a {type(agent).__name__}"
+        )
+    if metadata["state_dim"] != agent.state_dim or metadata["action_dim"] != agent.action_dim:
+        raise ValueError(
+            "checkpoint dimensions "
+            f"({metadata['state_dim']}, {metadata['action_dim']}) do not match the agent "
+            f"({agent.state_dim}, {agent.action_dim})"
+        )
+    networks = _agent_networks(agent)
+    for key, value in arrays.items():
+        prefix, _, parameter_name = key.partition("::")
+        if prefix not in networks:
+            raise ValueError(f"checkpoint contains unknown network {prefix!r}")
+        networks[prefix].set_parameters({parameter_name: value})
 
     agent.update_count = int(metadata["update_count"])
     qat_state = metadata.get("qat")
@@ -168,4 +234,3 @@ def load_agent_into(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -
                 numerics.layer_bits[layer] = bits
         if qat_state["half_mode"] and not numerics.half_mode:
             numerics.switch_to_half()
-    return metadata

@@ -22,8 +22,7 @@ they hold:
   possible;
 * ``precision_state()`` is the normalized ``{"default": bits, "layers":
   {name: bits}}`` profile the platform layer prices via
-  ``FixarPlatform.with_precision_state`` and the adaptive weighted
-  scheduler re-prices rounds with.
+  ``FixarPlatform.with_precision_state``.
 
 Algorithm 1's global switch is :class:`~repro.rl.qat.QATController` itself,
 registered here under ``global-switch`` (:data:`GlobalSwitchPolicy` is an

@@ -1,8 +1,9 @@
 """The round scheduler: the one place that drives every training schedule.
 
-FIXAR's headline claim is *adaptive parallelism* — the platform reshapes how
-work is scheduled onto the accelerator as the workload changes.  A run is a
-list of :class:`ScheduledGroup` s (built once, in
+The paper's *adaptive parallelism* is the AAP core's intra-layer /
+intra-batch switch (:mod:`repro.accelerator`); this module is the host-side
+schedule around it, and every policy here fixes its round shape for the
+whole run.  A run is a list of :class:`ScheduledGroup` s (built once, in
 :mod:`repro.rl.training`); one :class:`RoundScheduler` drives them — one
 group for :func:`~repro.rl.training.train`, N for
 :func:`~repro.rl.training.train_fleet` — through a pluggable
@@ -15,9 +16,9 @@ group for :func:`~repro.rl.training.train`, N for
   collects round ``k+1 .. k+depth`` while the learner is still consuming
   round ``k``.  ``PipelinedPolicy(0)`` degenerates to the sequential
   schedule.
-* :class:`ThroughputWeightedPolicy` — *adaptive* round shaping for
-  heterogeneous fleets: benchmarks with cheaper modelled ``host +
-  inference`` chains are allocated extra collection lock-steps per round,
+* :class:`ThroughputWeightedPolicy` — round shaping for heterogeneous
+  fleets: benchmarks with cheaper modelled ``host + inference`` chains
+  are allocated extra collection lock-steps per round,
   using :meth:`FixarPlatform.fleet_collection_round_seconds` as the cost
   oracle.  The expensive benchmark's chain bounds the round either way, so
   the extra lock-steps ride inside time the fleet was already paying for —
@@ -122,9 +123,8 @@ class SchedulePolicy:
     ahead of the learner; 0 = strictly alternating).  :meth:`lock_steps`
     returns one positive integer per group — how many collector rounds that
     group runs per scheduler round; the weights are resolved once at
-    scheduler construction and change only if :meth:`relock` returns a new
-    allocation at a precision-epoch boundary — a deterministic point of the
-    schedule, which is what keeps weighted runs reproducible.
+    scheduler construction and stay fixed for the whole run, which is what
+    keeps weighted runs reproducible.
     """
 
     name = "sequential"
@@ -133,25 +133,6 @@ class SchedulePolicy:
     def lock_steps(self, groups: Sequence[ScheduledGroup], platform=None) -> List[int]:
         """Lock-step allocation per group (default: one each, spec order)."""
         return [1] * len(groups)
-
-    def relock(
-        self,
-        groups: Sequence[ScheduledGroup],
-        platform=None,
-        precision_state=None,
-    ) -> Optional[List[int]]:
-        """Re-priced weights after a precision event, or ``None`` to keep.
-
-        The scheduler calls this at the deterministic round boundary where
-        a precision event fired, handing it the driver's normalized
-        ``precision_state()`` profile; a policy that prices rounds through
-        the platform oracle can return a fresh allocation reflecting the
-        new per-layer bit widths (see
-        :class:`ThroughputWeightedPolicy(adaptive=True)
-        <ThroughputWeightedPolicy>`).  The default keeps the locked weights
-        for the whole run.
-        """
-        return None
 
     def describe(self) -> str:
         return self.name
@@ -216,15 +197,6 @@ class ThroughputWeightedPolicy(SchedulePolicy):
 
     ``weights`` overrides the oracle with an explicit per-benchmark mapping
     (lowercase keys), for tests and manual tuning.
-
-    ``adaptive=True`` (the ``--schedule adaptive`` spelling) additionally
-    re-prices the allocation at precision-epoch boundaries: when the run's
-    precision driver fires an event, the scheduler hands this policy the new
-    normalized precision state, the oracle is re-derived through
-    ``platform.with_precision_state`` (reduced activation widths shrink the
-    modelled PCIe payloads), and :meth:`relock` returns a fresh allocation.
-    Both the boundary (a scheduler round index) and the re-priced weights
-    are deterministic, so adaptive runs stay reproducible.
     """
 
     name = "weighted"
@@ -235,7 +207,6 @@ class ThroughputWeightedPolicy(SchedulePolicy):
         depth: int = 0,
         platform=None,
         weights: Optional[Dict[str, int]] = None,
-        adaptive: bool = False,
     ):
         if max_weight < 1:
             raise ValueError(f"max_weight must be >= 1, got {max_weight}")
@@ -245,7 +216,6 @@ class ThroughputWeightedPolicy(SchedulePolicy):
         self.depth = depth
         self.platform = platform
         self.weights = weights
-        self.adaptive = adaptive
 
     def _ratio_weights(self, chains: Sequence[float]) -> List[int]:
         """Integer lock-step weights approximating ``1 / chain`` proportions."""
@@ -332,35 +302,8 @@ class ThroughputWeightedPolicy(SchedulePolicy):
             return [1] * len(groups)
         return weights
 
-    def relock(
-        self,
-        groups: Sequence[ScheduledGroup],
-        platform=None,
-        precision_state=None,
-    ) -> Optional[List[int]]:
-        """Re-price the allocation against the post-switch oracle.
-
-        Only the adaptive variant re-locks, and only from the oracle —
-        explicit weights were a deliberate override and stay put.  The
-        oracle is re-derived via ``with_precision_state`` so the chains
-        reflect the bit widths actually in effect; everything downstream is
-        :meth:`lock_steps` unchanged, including the conservative
-        never-worse-than-uniform verification.
-        """
-        if not self.adaptive or self.weights is not None:
-            return None
-        oracle = platform if platform is not None else self.platform
-        if oracle is None or len(groups) <= 1:
-            return None
-        if precision_state is not None:
-            with_state = getattr(oracle, "with_precision_state", None)
-            if with_state is not None:
-                oracle = with_state(precision_state)
-        return self.lock_steps(groups, oracle)
-
     def describe(self) -> str:
-        suffix = ", adaptive" if self.adaptive else ""
-        return f"{self.name}(max_weight={self.max_weight}, depth={self.depth}{suffix})"
+        return f"{self.name}(max_weight={self.max_weight}, depth={self.depth})"
 
 
 def resolve_policy(config, platform=None) -> SchedulePolicy:
@@ -369,9 +312,8 @@ def resolve_policy(config, platform=None) -> SchedulePolicy:
     ``config.schedule`` of ``None`` resolves from ``pipeline_depth`` (the
     historical behavior: depth 0 is sequential, anything else pipelined);
     ``"weighted"`` combines throughput-weighted rounds with the configured
-    staleness depth, and ``"adaptive"`` is the weighted policy that also
-    re-prices at precision-epoch boundaries.  ``platform`` is handed to the
-    weighted policy as its cost oracle.
+    staleness depth.  ``platform`` is handed to the weighted policy as its
+    cost oracle.
     """
     name = getattr(config, "schedule", None)
     if name is None:
@@ -384,13 +326,8 @@ def resolve_policy(config, platform=None) -> SchedulePolicy:
         return ThroughputWeightedPolicy(
             depth=config.pipeline_depth, platform=platform
         )
-    if name == "adaptive":
-        return ThroughputWeightedPolicy(
-            depth=config.pipeline_depth, platform=platform, adaptive=True
-        )
     raise ValueError(
-        f"unknown schedule {name!r}; expected sequential, pipelined, "
-        "weighted, or adaptive"
+        f"unknown schedule {name!r}; expected sequential, pipelined, or weighted"
     )
 
 
@@ -403,12 +340,12 @@ class DeviceAssignmentPolicy:
     batched inferences.  :meth:`assign` returns one collection-device index
     per group (duck-typed groups expose ``key`` / ``num_workers`` /
     ``num_envs``, same shape the weighted schedule prices); the pool
-    arrives duck-typed too (anything exposing ``collection_devices`` and
-    the ``fleet_*`` pricing pair), because ``repro.platform`` sits
-    downstream of ``repro.rl`` in the layer map.  Assignments are resolved
-    once per run and stay fixed, so device affinity never introduces
-    nondeterminism — it only changes which modelled accelerator pays for
-    each group's batches.
+    arrives duck-typed too (anything exposing ``collection_devices``,
+    ``resolve_assignment`` and the ``fleet_*`` pricing pair), because
+    ``repro.platform`` sits downstream of ``repro.rl`` in the layer map.
+    Assignments are resolved once per run and stay fixed, so device
+    affinity never introduces nondeterminism — it only changes which
+    modelled accelerator pays for each group's batches.
     """
 
     name = "round-robin"
@@ -436,11 +373,12 @@ class RoundRobinAssignment(DeviceAssignmentPolicy):
 class AffinityAssignment(DeviceAssignmentPolicy):
     """Pin benchmarks to devices with an explicit ``{key: device}`` mapping.
 
-    Keys are matched case-insensitively against the group keys; mapping
-    keys that match no group raise (the same unknown-key contract as the
-    weighted policy's explicit lock-step weights — a typo'd benchmark must
-    not silently fall back to round-robin).  Groups the mapping does not
-    name round-robin over the collection devices.
+    Resolved by the pool's own ``resolve_assignment``: keys are matched
+    case-insensitively against the group keys; mapping keys that match no
+    group raise (the same unknown-key contract as the weighted policy's
+    explicit lock-step weights — a typo'd benchmark must not silently fall
+    back to round-robin), as do devices outside the pool.  Groups the
+    mapping does not name round-robin over the collection devices.
     """
 
     name = "affinity"
@@ -459,29 +397,7 @@ class AffinityAssignment(DeviceAssignmentPolicy):
             ) from None
 
     def assign(self, groups: Sequence, pool) -> List[int]:
-        keys = [group.key for group in groups]
-        unknown = sorted(key for key in self.mapping if key not in set(keys))
-        if unknown:
-            raise ValueError(
-                f"device assignment names benchmarks that match no scheduled "
-                f"group: {unknown}; scheduled keys are {sorted(set(keys))}"
-            )
-        collection = list(pool.collection_devices)
-        for key, device in self.mapping.items():
-            if device not in collection:
-                raise ValueError(
-                    f"benchmark {key!r} assigned to device {device}, but the "
-                    f"pool's collection devices are {tuple(collection)}"
-                )
-        devices = []
-        cursor = 0
-        for key in keys:
-            if key in self.mapping:
-                devices.append(self.mapping[key])
-            else:
-                devices.append(collection[cursor % len(collection)])
-                cursor += 1
-        return devices
+        return pool.resolve_assignment([group.key for group in groups], self.mapping)
 
     def describe(self) -> str:
         return f"{self.name}({self.mapping})"
@@ -533,14 +449,14 @@ class LoadBalancedAssignment(DeviceAssignmentPolicy):
 ASSIGNMENTS = ("round-robin", "balanced")
 
 
-def resolve_assignment(config, pool=None) -> DeviceAssignmentPolicy:
+def resolve_assignment(config) -> DeviceAssignmentPolicy:
     """The :class:`DeviceAssignmentPolicy` a :class:`TrainingConfig` asks for.
 
     Mirrors :func:`resolve_policy`: ``config.assignment`` of ``None`` (or a
     config without the knob) resolves to round-robin, a policy name from
     ``ASSIGNMENTS`` picks the named policy, and a ``{benchmark: device}``
-    mapping builds an :class:`AffinityAssignment`.  ``pool`` is accepted
-    for signature symmetry; the policies receive it at :meth:`assign` time.
+    mapping builds an :class:`AffinityAssignment`.  The policies receive
+    the pool at :meth:`assign` time.
     """
     assignment = getattr(config, "assignment", None)
     if assignment is None or assignment == "round-robin":
@@ -646,10 +562,21 @@ class RoundScheduler:
         self.policy = policy
         self.config = config
         self.qat_controller = qat_controller
-        self.platform = platform
         self.on_evaluation = on_evaluation
         self.restart_shared_env = restart_shared_env
         self.weights = self._validated_weights(policy.lock_steps(groups, platform))
+        # The weights are fixed for the run, so each group's slice of a
+        # round's global step range (spec-order offset and size) and the
+        # round size are too.
+        self._group_steps = [
+            weight * group.steps_per_lock_round
+            for group, weight in zip(groups, self.weights)
+        ]
+        self._group_offsets = [
+            sum(self._group_steps[:index]) for index in range(len(groups))
+        ]
+        #: Environment steps of one scheduler round across all groups.
+        self.steps_per_round = sum(self._group_steps)
         self._updates_by_key = {group.key: 0 for group in groups}
         self._qat_event: Optional[QATEvent] = None
 
@@ -665,50 +592,22 @@ class RoundScheduler:
         return [int(weight) for weight in weights]
 
     # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def steps_per_round(self) -> int:
-        """Environment steps of one scheduler round across all groups."""
-        return self._round_steps(self.weights)
-
-    def _round_steps(self, weights: Sequence[int]) -> int:
-        """Environment steps of one round under an explicit allocation."""
-        return sum(
-            weight * group.steps_per_lock_round
-            for group, weight in zip(self.groups, weights)
-        )
-
-    def _group_offsets(self, weights: Sequence[int]) -> List[int]:
-        """Each group's slice offset inside a round's global step range."""
-        offsets = []
-        accumulated = 0
-        for group, weight in zip(self.groups, weights):
-            offsets.append(accumulated)
-            accumulated += weight * group.steps_per_lock_round
-        return offsets
-
-    # ------------------------------------------------------------------ #
     # The learner phase (drain, update, evaluate)
     # ------------------------------------------------------------------ #
     def _learner_round(
         self,
         global_step: int,
-        weights: Sequence[int],
         deferred,
         episodes_snapshot: Optional[Dict[str, int]],
     ) -> None:
         """Drain one round, run its updates, record crossed evaluations.
 
         ``global_step`` is the fleet-wide step count at the round's
-        collection start and ``weights`` the allocation the round was
-        collected under — passed explicitly (rather than derived from a
-        round index) because an adaptive policy may re-lock the live
-        weights while this round is still queued behind the staleness
-        window.  ``deferred`` is ``None`` in the sequential schedule (the
-        collectors drained immediately) and the round's per-group queued
-        transitions in the pipelined one.  Either way the buffers hold
-        exactly the rounds up to this one when the updates sample them, so
+        collection start.  ``deferred`` is ``None`` in the sequential
+        schedule (the collectors drained immediately) and the round's
+        per-group queued transitions in the pipelined one.  Either way the
+        buffers hold exactly the rounds up to this one when the updates
+        sample them, so
         every policy sees the same update-side data availability — policies
         differ only in how stale the *collection* weights are and how
         lock-steps are allocated.  ``episodes_snapshot`` carries the
@@ -717,19 +616,19 @@ class RoundScheduler:
         has already run ahead on).
         """
         config = self.config
-        steps_per_round = self._round_steps(weights)
-        global_after = global_step + steps_per_round
+        global_after = global_step + self.steps_per_round
         if deferred is not None:
             for group, rounds in zip(self.groups, deferred):
                 group.collector.drain(rounds)
 
         # ----- Agent updates: one per collected post-warmup step ---------- #
-        offsets = self._group_offsets(weights)
-        for group, offset, weight in zip(self.groups, offsets, weights):
+        for group, offset, steps in zip(
+            self.groups, self._group_offsets, self._group_steps
+        ):
             buffer = group.buffer
             if len(buffer) >= config.batch_size:
                 group_lo = global_step + offset
-                group_hi = group_lo + weight * group.steps_per_lock_round
+                group_hi = group_lo + steps
                 first_update_step = max(group_lo, config.warmup_timesteps)
                 for _ in range(max(0, group_hi - first_update_step)):
                     group.agent.update(buffer.sample(config.batch_size))
@@ -766,40 +665,19 @@ class RoundScheduler:
     # ------------------------------------------------------------------ #
     # The schedule
     # ------------------------------------------------------------------ #
-    def _maybe_relock(self) -> None:
-        """Offer the policy a re-pricing after a precision event.
-
-        Runs at the round boundary where the event fired — a deterministic
-        point of the schedule — handing the policy the precision driver's
-        normalized state so oracle-driven policies can reflect the new bit
-        widths in their lock-step allocation.  A ``None`` return keeps the
-        current weights; anything else is validated exactly like the
-        construction-time allocation and swapped in for subsequent rounds
-        (rounds already queued behind the staleness window keep the weights
-        they were collected under).
-        """
-        new_weights = self.policy.relock(
-            self.groups, self.platform, self.qat_controller.precision_state()
-        )
-        if new_weights is not None:
-            self.weights = self._validated_weights(new_weights)
-
     def run(self) -> ScheduleOutcome:
         """Run the whole schedule and return the bookkeeping totals."""
         config = self.config
         depth = self.policy.depth
 
         # In-flight rounds the fleet has collected but the learner has not
-        # yet consumed (at most ``depth`` long): (round start step, weights
-        # at collection, per-group transitions, per-group episode counts as
-        # of collection).
-        pending: Deque[Tuple[int, List[int], List, Dict[str, int]]] = deque()
+        # yet consumed (at most ``depth`` long): (round start step, per-group
+        # transitions, per-group episode counts as of collection).
+        pending: Deque[Tuple[int, List, Dict[str, int]]] = deque()
+        steps_per_round = self.steps_per_round
         collected = 0
         iterations = 0
-        steps_by_key = {group.key: 0 for group in self.groups}
         while collected < config.total_timesteps:
-            weights = list(self.weights)
-            steps_per_round = self._round_steps(weights)
             global_step = collected
 
             # QAT advances with the collection timeline: the precision
@@ -808,27 +686,25 @@ class RoundScheduler:
             # to collection immediately — the (lagging) pipelined learner
             # then runs its remaining updates at the new precision, exactly
             # as a wall-clock switch would.
-            event_fired = False
             if self.qat_controller is not None:
                 for offset in range(steps_per_round):
                     event = self.qat_controller.on_timestep(global_step + offset)
                     if event is not None:
                         self._qat_event = event
-                        event_fired = True
 
             if depth == 0:
                 # Sequential schedule: collect a round, then consume it.
-                for group, weight in zip(self.groups, weights):
+                for group, weight in zip(self.groups, self.weights):
                     for _ in range(weight):
                         group.collector.step_sync()
-                self._learner_round(global_step, weights, None, None)
+                self._learner_round(global_step, None, None)
             else:
                 # Pipelined schedule: collect round k first — emulating
                 # "collection of round k runs while the learner is busy with
                 # round k - depth" — then let the learner catch up to within
                 # the staleness window.
                 deferred: List[List] = []
-                for group, weight in zip(self.groups, weights):
+                for group, weight in zip(self.groups, self.weights):
                     rounds: List = []
                     for _ in range(weight):
                         rounds.extend(group.collector.step_sync(drain=False))
@@ -836,7 +712,6 @@ class RoundScheduler:
                 pending.append(
                     (
                         global_step,
-                        weights,
                         deferred,
                         {
                             group.key: len(group.collector.episode_returns)
@@ -849,12 +724,6 @@ class RoundScheduler:
 
             collected += steps_per_round
             iterations += 1
-            for group, weight in zip(self.groups, weights):
-                steps_by_key[group.key] += weight * group.steps_per_lock_round
-            if event_fired:
-                # Precision-epoch boundary: let the policy re-price the
-                # allocation for the rounds that follow.
-                self._maybe_relock()
 
         # Drain the pipeline: the learner consumes the last in-flight rounds.
         while pending:
@@ -876,10 +745,13 @@ class RoundScheduler:
 
         return ScheduleOutcome(
             total_timesteps=total_timesteps,
-            steps_per_round=self.steps_per_round,
+            steps_per_round=steps_per_round,
             iterations=iterations,
             weights=list(self.weights),
             updates_by_key=dict(self._updates_by_key),
-            steps_by_key=steps_by_key,
+            steps_by_key={
+                group.key: iterations * steps
+                for group, steps in zip(self.groups, self._group_steps)
+            },
             qat_event=self._qat_event,
         )

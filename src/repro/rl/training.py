@@ -62,11 +62,7 @@ from .workers import AsyncCollector, CollectorWorker, parse_fleet_spec
 
 #: Round-scheduling policies ``TrainingConfig.schedule`` accepts (``None``
 #: resolves from ``pipeline_depth``; see :func:`repro.rl.scheduler.resolve_policy`).
-SCHEDULES = ("sequential", "pipelined", "weighted", "adaptive")
-
-#: Update-stream placements ``TrainingConfig.placement`` accepts (mirrors
-#: :data:`repro.platform.PLACEMENTS` without importing the platform layer).
-PLACEMENTS = ("colocated", "disaggregated")
+SCHEDULES = ("sequential", "pipelined", "weighted")
 
 __all__ = [
     "TrainingConfig",
@@ -125,14 +121,12 @@ class TrainingConfig:
     #: driven by ``num_workers``.  When set, ``num_workers`` must stay at 1
     #: and the run goes through :func:`train_fleet` instead of :func:`train`.
     fleet: Optional[Union[str, Sequence]] = None
-    #: Round-scheduling policy: ``"sequential"``, ``"pipelined"``,
+    #: Round-scheduling policy: ``"sequential"``, ``"pipelined"``, or
     #: ``"weighted"`` (throughput-weighted rounds — heterogeneous fleets
     #: with cheaper modelled host+inference chains collect extra lock-steps
-    #: per round), or ``"adaptive"`` (weighted rounds that additionally
-    #: re-price at precision-epoch boundaries).  ``None`` (the default)
-    #: resolves from ``pipeline_depth`` — depth 0 is sequential, anything
-    #: else pipelined — so every pre-existing configuration keeps its exact
-    #: behavior.
+    #: per round).  ``None`` (the default) resolves from ``pipeline_depth``
+    #: — depth 0 is sequential, anything else pipelined — so every
+    #: pre-existing configuration keeps its exact behavior.
     schedule: Optional[str] = None
     #: Accelerators in the device pool serving the run.  ``1`` (the
     #: default) is the single-platform path; ``> 1`` requires passing an
@@ -141,11 +135,6 @@ class TrainingConfig:
     #: Devices change only the modelled pricing and per-benchmark device
     #: affinity — the training numerics are identical at every pool size.
     devices: int = 1
-    #: Where the learners' update streams run: ``"colocated"`` (each
-    #: group's updates share its collection device) or ``"disaggregated"``
-    #: (the pool's last device is dedicated to updates; needs
-    #: ``devices >= 2``).  Must match the pool's placement.
-    placement: str = "colocated"
     #: Device-assignment policy for fleet groups: ``None`` /
     #: ``"round-robin"`` (spec-order dealing over the collection devices),
     #: ``"balanced"`` (greedy modelled-load balancing), or an explicit
@@ -202,15 +191,6 @@ class TrainingConfig:
                 )
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
-            )
-        if self.placement == "disaggregated" and self.devices < 2:
-            raise ValueError(
-                "disaggregated placement dedicates one device to the update "
-                "streams, so it needs devices >= 2"
-            )
         if isinstance(self.assignment, str) and self.assignment not in ASSIGNMENTS:
             raise ValueError(
                 f"assignment must be one of {ASSIGNMENTS} or a "
@@ -296,8 +276,6 @@ class FleetTrainingResult:
     #: Accelerators in the device pool the run was priced on (1 = the
     #: single-platform path).
     devices: int = 1
-    #: Update-stream placement (``colocated``/``disaggregated``).
-    placement: str = "colocated"
     #: Resolved per-benchmark device affinity (empty without a pool).
     assignment: Dict[str, int] = field(default_factory=dict)
 
@@ -325,7 +303,6 @@ class FleetTrainingResult:
             "schedule": self.schedule,
             "weights": list(self.weights),
             "devices": self.devices,
-            "placement": self.placement,
             "assignment": dict(self.assignment),
             "quantization_switch_step": (
                 self.qat_event.timestep if self.qat_event else None
@@ -358,10 +335,10 @@ def _resolve_device_pool(config: TrainingConfig, platform) -> bool:
     """Whether the platform hook is a device pool, validated against config.
 
     The rl layer never imports ``repro.platform``, so a pool is detected
-    duck-typed (``collection_devices`` + ``device``).  ``config.devices`` /
-    ``config.placement`` must agree with the pool actually passed — a
-    config asking for 2 accelerators priced on a single platform (or vice
-    versa) would silently report the wrong modelled numbers.
+    duck-typed (``collection_devices`` + ``device``).  ``config.devices``
+    must agree with the pool actually passed — a config asking for 2
+    accelerators priced on a single platform (or vice versa) would silently
+    report the wrong modelled numbers.
     """
     is_pool = hasattr(platform, "collection_devices") and hasattr(platform, "device")
     if config.devices > 1 and not is_pool:
@@ -376,12 +353,6 @@ def _resolve_device_pool(config: TrainingConfig, platform) -> bool:
             raise ValueError(
                 f"config.devices={config.devices} does not match the "
                 f"{pool_devices}-device pool passed as the platform hook"
-            )
-        pool_placement = getattr(platform, "placement", "colocated")
-        if pool_placement != config.placement:
-            raise ValueError(
-                f"config.placement={config.placement!r} does not match the "
-                f"pool's placement {pool_placement!r}"
             )
     return is_pool
 
@@ -608,7 +579,7 @@ def train(
         ``infer_batch`` prices each batched rollout inference; also the
         weighted schedule's cost oracle.  An
         :class:`~repro.platform.AcceleratorPool` at the same hook (matching
-        ``config.devices`` / ``config.placement``) shards every batch over
+        ``config.devices``) shards every batch over
         its collection devices; ``config.assignment`` is validated against
         the one group with the errors :func:`train_fleet` raises.
     policy:
@@ -706,10 +677,10 @@ def train(
         shared_engine=shared_engine,
     )
     if is_pool:
-        # Validation only (unknown benchmark, non-collection device): the
+        # Validation only (unknown benchmark, out-of-range device): the
         # one group's batches shard over the whole pool through the
         # unchanged ``infer_batch`` joint, whatever device it is dealt.
-        resolve_assignment(config, platform).assign([plan], platform)
+        resolve_assignment(config).assign([plan], platform)
 
     on_evaluation = None
     if progress_callback is not None:
@@ -847,7 +818,7 @@ def train_fleet(
         inferences under its own layer dimensions; also the weighted
         schedule's cost oracle.  With an
         :class:`~repro.platform.AcceleratorPool` (matching
-        ``config.devices`` / ``config.placement``) the
+        ``config.devices``) the
         :class:`~repro.rl.scheduler.DeviceAssignmentPolicy` selected by
         ``config.assignment`` maps each group to a device before any worker
         is built, the group's workers price on that device, and the
@@ -898,7 +869,7 @@ def train_fleet(
         # Resolve the per-benchmark device affinity before any worker is
         # built, then bind it onto the pool so the weighted policy's oracle
         # and every fleet_* report price the round actually scheduled.
-        devices = resolve_assignment(config, platform).assign(plans, platform)
+        devices = resolve_assignment(config).assign(plans, platform)
         assignment = {plan.key: device for plan, device in zip(plans, devices)}
         platform = platform.with_assignment(assignment)
     if platform is not None:
@@ -949,7 +920,6 @@ def train_fleet(
         schedule=policy.name,
         weights=list(outcome.weights),
         devices=config.devices,
-        placement=config.placement,
         assignment=assignment,
     )
     for plan, benchmark_result in zip(plans, results):

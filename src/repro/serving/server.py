@@ -15,7 +15,6 @@ with its partially-switched quantizers intact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,8 @@ from ..rl import (
     DDPGConfig,
     TD3Agent,
     TD3Config,
-    load_agent_into,
+    read_checkpoint,
+    restore_agent,
 )
 from .batcher import BatchFlush, DynamicBatcher
 from .load import SyntheticLoadGenerator
@@ -43,9 +43,6 @@ __all__ = [
     "PolicyServer",
     "restore_serving_agent",
 ]
-
-#: Placements accepted by :class:`ServingConfig` (the pool's vocabulary).
-_SERVING_PLACEMENTS = ("colocated", "disaggregated")
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,6 @@ class ServingConfig:
     batch_cap: int = 8
     seed: int = 0
     devices: int = 1
-    placement: str = "colocated"
     #: Flush timeout; ``None`` derives SLO minus the cap-sized service time.
     timeout_seconds: Optional[float] = None
 
@@ -79,11 +75,6 @@ class ServingConfig:
             raise ValueError(f"batch_cap must be >= 1, got {self.batch_cap}")
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
-        if self.placement not in _SERVING_PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; "
-                f"choose from {_SERVING_PLACEMENTS}"
-            )
         if self.timeout_seconds is not None and self.timeout_seconds < 0:
             raise ValueError(
                 f"timeout_seconds must be non-negative, got {self.timeout_seconds}"
@@ -198,29 +189,23 @@ class ServingResult:
 def restore_serving_agent(path: Union[str, Path]):
     """Rebuild a compatible agent from a checkpoint alone.
 
-    ``load_agent_into`` needs an already-shaped agent; the serving path
+    ``restore_agent`` needs an already-shaped agent; the serving path
     has only the ``.npz``, so the hidden sizes are inferred from the saved
     actor weight shapes (each dense weight is ``(in_features,
     out_features)``) and the numerics from the metadata's regime name.
     Returns ``(agent, metadata)`` with the checkpoint fully restored —
     including any partially-switched per-layer quantizers.
     """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        metadata = json.loads(
-            bytes(archive["__metadata__"].tobytes()).decode("utf-8")
-        )
-        weight_keys = sorted(
-            (
-                key
-                for key in archive.files
-                if key.startswith("actor::") and key.endswith(".weight")
-            ),
-            key=lambda key: int(key.split("::", 1)[1].split(".", 1)[0]),
-        )
-        hidden_sizes = tuple(
-            int(archive[key].shape[1]) for key in weight_keys[:-1]
-        )
+    metadata, arrays = read_checkpoint(path)
+    weight_keys = sorted(
+        (
+            key
+            for key in arrays
+            if key.startswith("actor::") and key.endswith(".weight")
+        ),
+        key=lambda key: int(key.split("::", 1)[1].split(".", 1)[0]),
+    )
+    hidden_sizes = tuple(int(arrays[key].shape[1]) for key in weight_keys[:-1])
     regime = metadata["numerics"]["name"]
     num_bits = int(metadata["numerics"].get("num_bits") or 16)
     numerics = make_numerics(regime, num_bits=num_bits)
@@ -246,7 +231,7 @@ def restore_serving_agent(path: Union[str, Path]):
         )
     else:
         raise ValueError(f"checkpoint holds an unknown agent class {agent_class!r}")
-    load_agent_into(agent, path)
+    restore_agent(agent, metadata, arrays)
     return agent, metadata
 
 

@@ -30,3 +30,63 @@ def small_agent(rng) -> DDPGAgent:
         config=DDPGConfig(hidden_sizes=(32, 24)),
         rng=rng,
     )
+
+
+@pytest.fixture
+def checkpoints(tmp_path, rng):
+    """``good`` — a real HalfCheetah checkpoint — plus every way a restore
+    must reject one, as ``{name: path}`` (all but ``good`` are unusable)."""
+    import json
+
+    from repro.nn import make_numerics
+    from repro.rl import save_agent
+
+    agent = DDPGAgent(
+        17, 6, DDPGConfig(hidden_sizes=(16, 12)),
+        numerics=make_numerics("fixar-dynamic"), rng=rng,
+    )
+    good = save_agent(agent, tmp_path / "good.npz")
+    data = good.read_bytes()
+    with np.load(good) as archive:
+        arrays = dict(archive)
+    metadata = json.loads(arrays["__metadata__"].tobytes().decode("utf-8"))
+
+    def write(name, payload):
+        path = tmp_path / f"{name}.npz"
+        path.write_bytes(payload)
+        return path
+
+    def resave(name, **replaced):
+        path = tmp_path / f"{name}.npz"
+        kept = {key: value for key, value in {**arrays, **replaced}.items() if value is not None}
+        np.savez_compressed(path, **kept)
+        return path
+
+    def encoded(meta):
+        return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+    flipped = bytearray(data)
+    for offset in range(200, 260):  # inside the first member's compressed stream
+        flipped[offset] ^= 0xFF
+    np.save(tmp_path / "bare.npy", np.zeros(3))
+    return {
+        "good": good,
+        "garbage": write("garbage", b"PK\x03\x04garbage"),
+        "empty": write("empty", b""),
+        "truncated-64": write("truncated-64", data[:64]),
+        "truncated-half": write("truncated-half", data[: len(data) // 2]),
+        "truncated-tail": write("truncated-tail", data[:-16]),
+        "corrupt-member": write("corrupt-member", bytes(flipped)),
+        "bare-npy": tmp_path / "bare.npy",
+        "no-metadata": resave("no-metadata", __metadata__=None),
+        "metadata-not-json": resave(
+            "metadata-not-json", __metadata__=np.frombuffer(b"{nope", dtype=np.uint8)
+        ),
+        "missing-key": resave(
+            "missing-key",
+            __metadata__=encoded({k: v for k, v in metadata.items() if k != "numerics"}),
+        ),
+        "format-version-2": resave(
+            "format-version-2", __metadata__=encoded({**metadata, "format_version": 2})
+        ),
+    }

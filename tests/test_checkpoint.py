@@ -11,6 +11,7 @@ from repro.rl import (
     TD3Config,
     checkpoint_metadata,
     load_agent_into,
+    read_checkpoint,
     save_agent,
 )
 
@@ -284,3 +285,47 @@ class TestValidation:
         other = DDPGAgent(6, 2, DDPGConfig(hidden_sizes=(10, 8)), rng=rng)
         with pytest.raises(ValueError):
             load_agent_into(other, path)
+
+
+class TestReadCheckpoint:
+    """The one reader: anything it cannot fully read and validate is a
+    ``ValueError`` (never ``BadZipFile`` / ``EOFError`` / ``KeyError``)."""
+
+    def test_good_checkpoint_round_trips_bit_exactly(self, checkpoints, rng):
+        metadata, arrays = read_checkpoint(checkpoints["good"])
+        restored = DDPGAgent(
+            17, 6, DDPGConfig(hidden_sizes=(16, 12)),
+            numerics=make_numerics("fixar-dynamic"), rng=np.random.default_rng(5),
+        )
+        assert load_agent_into(restored, checkpoints["good"]) == metadata
+        assert metadata == checkpoint_metadata(restored)
+        assert "__metadata__" not in arrays
+        for prefix in ("actor", "critic", "target_actor", "target_critic"):
+            for name, value in getattr(restored, prefix).parameters().items():
+                np.testing.assert_array_equal(value, arrays[f"{prefix}::{name}"])
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("garbage", "not a readable checkpoint archive"),
+            ("empty", "not a readable checkpoint archive"),
+            ("truncated-64", "not a readable checkpoint archive"),
+            ("truncated-half", "not a readable checkpoint archive"),
+            ("truncated-tail", "not a readable checkpoint archive"),
+            ("corrupt-member", "not a readable checkpoint archive"),
+            ("bare-npy", "not an .npz archive"),
+            ("no-metadata", "no __metadata__ entry"),
+            ("metadata-not-json", "__metadata__ does not decode"),
+            ("missing-key", r"__metadata__ is missing \['numerics'\]"),
+            ("format-version-2", "format_version 2 is not the supported version 1"),
+        ],
+    )
+    def test_unusable_checkpoints_raise_value_error(self, checkpoints, name, message):
+        with pytest.raises(ValueError, match=message):
+            read_checkpoint(checkpoints[name])
+        with pytest.raises(ValueError, match=message):
+            load_agent_into(_ddpg(np.random.default_rng(0)), checkpoints[name])
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_checkpoint(tmp_path / "absent.npz")

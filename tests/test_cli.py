@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.rl import TrainingConfig
 
 
 class TestParser:
@@ -235,28 +238,35 @@ class TestCommands:
 
 
 class TestChoiceEnumeratingRejections:
-    """Rejection errors for --placement/--assignment/--schedule enumerate
+    """Rejection errors for --assignment/--schedule enumerate
     the valid choices at the parser boundary (PR-7 validation sweep) —
     consistent with the positive-int validators, the user never needs the
     docs to learn what would have been accepted."""
 
-    def test_placement_rejection_enumerates_choices(self, capsys):
+    @pytest.mark.parametrize("command", ["train", "serve"])
+    def test_placement_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["train", "--placement", "remote"])
+            build_parser().parse_args([command, "--placement", "colocated"])
         assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert "--placement" in message
-        for choice in ("colocated", "disaggregated"):
-            assert choice in message
+        assert "unrecognized arguments: --placement" in capsys.readouterr().err
 
-    def test_schedule_rejection_enumerates_choices(self, capsys):
+    @pytest.mark.parametrize("value", ["fifo", "adaptive"])
+    def test_schedule_rejection_enumerates_choices(self, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["train", "--schedule", "fifo"])
+            build_parser().parse_args(["train", "--schedule", value])
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "--schedule" in message
-        for choice in ("sequential", "pipelined", "weighted"):
-            assert choice in message
+        choices = re.search(r"choose from ([^)]*)\)", message).group(1)
+        assert [choice.strip(" '") for choice in choices.split(",")] == [
+            "sequential", "pipelined", "weighted",
+        ]
+
+    def test_config_rejects_the_removed_schedule(self):
+        with pytest.raises(
+            ValueError, match=r"\('sequential', 'pipelined', 'weighted'\)"
+        ):
+            TrainingConfig(schedule="adaptive")
 
     @pytest.mark.parametrize("value", ["fastest", "Hopper", "Hopper=,"])
     def test_assignment_rejection_enumerates_choices(self, value, capsys):
@@ -437,3 +447,45 @@ class TestPrecisionFlags:
         error_lines = captured.err.strip().splitlines()
         assert len(error_lines) == 1
         assert error_lines[0].startswith("error: --precision-spec: ")
+
+
+class TestServeCheckpointErrors:
+    """``serve --checkpoint`` on an unusable file: exit 2, one
+    ``error: --checkpoint:`` line, no traceback."""
+
+    def test_good_checkpoint_serves(self, checkpoints, capsys):
+        argv = ["serve", "--checkpoint", str(checkpoints["good"]), "--requests", "32"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "serving HalfCheetah" in captured.out
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "garbage", "empty", "truncated-64", "truncated-half", "truncated-tail",
+            "corrupt-member", "bare-npy", "no-metadata", "metadata-not-json",
+            "missing-key", "format-version-2",
+        ],
+    )
+    def test_unusable_checkpoint_exits_2_with_one_line(self, checkpoints, name, capsys):
+        assert main(["serve", "--checkpoint", str(checkpoints[name])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: --checkpoint: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "filename, env_name",
+        [("absent.npz", "HalfCheetah"), ("good.npz", "Hopper")],
+        ids=["missing-file", "dimension-mismatch"],
+    )
+    def test_unservable_path_exits_2_with_one_line(
+        self, checkpoints, filename, env_name, capsys
+    ):
+        path = checkpoints["good"].with_name(filename)
+        assert main(["serve", "--checkpoint", str(path), "--benchmark", env_name]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --checkpoint: ")

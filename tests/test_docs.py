@@ -168,6 +168,21 @@ def test_readme_report_references_exist():
     assert not missing, f"README references missing reports: {missing}"
 
 
+def test_every_committed_report_has_a_producer():
+    """Each ``benchmarks/reports/<stem>.txt`` is written by some benchmark:
+    its ``"<stem>"`` literal (the ``save_report`` name) appears in a
+    ``benchmarks/*.py``.  A report whose benchmark was deleted fails here."""
+    sources = [path.read_text() for path in (REPO_ROOT / "benchmarks").glob("*.py")]
+    reports = sorted((REPO_ROOT / "benchmarks" / "reports").glob("*.txt"))
+    assert len(reports) >= 15, "benchmarks/reports lost its committed reports"
+    orphans = [
+        report.name
+        for report in reports
+        if not any(f'"{report.stem}"' in source for source in sources)
+    ]
+    assert not orphans, f"committed reports no benchmark writes: {orphans}"
+
+
 def test_readme_bench_modules_exist():
     references = set(re.findall(r"benchmarks/bench_\w+\.py", README.read_text()))
     on_disk = {
@@ -199,7 +214,7 @@ def test_readme_cli_flags_match_the_parser():
     text = README.read_text()
     for flag in ("--num-envs", "--num-workers", "--sync-interval",
                  "--pipeline-depth", "--fleet", "--schedule", "--devices",
-                 "--placement", "--assignment", "--cosim",
+                 "--assignment", "--cosim",
                  "--precision-policy", "--precision-spec", "--profile"):
         assert flag in text, f"README lost the {flag} row"
         assert flag in cli_flags, f"README documents {flag} but the CLI dropped it"
@@ -224,7 +239,7 @@ def test_readme_serve_flags_match_the_parser():
     text = README.read_text()
     assert "python -m repro.cli serve" in text, "README lost the serve quickstart"
     for flag in ("--requests", "--qps", "--slo-ms", "--batch-cap",
-                 "--checkpoint", "--devices", "--placement", "--profile"):
+                 "--checkpoint", "--devices", "--profile"):
         assert flag in text, f"README lost the {flag} row"
         assert flag in cli_flags, f"README documents {flag} but `serve` dropped it"
 

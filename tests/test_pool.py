@@ -2,7 +2,7 @@
 
 The load-bearing guarantees:
 
-* **1-device bit-exactness** — a 1-device colocated pool is the extended
+* **1-device bit-exactness** — a 1-device pool is the extended
   oracle chain's anchor: every ``fleet_*`` price, ``infer_batch`` report
   value, and a training run that uses the pool as its platform hook must
   be **exactly** equal (``==``, not approx) to the single-platform path;
@@ -10,10 +10,10 @@ The load-bearing guarantees:
   creates or drops states, for any batch size and device count;
 * **Determinism** — devices change only the modelled pricing; training
   numerics (curves, episode returns, buffers) are identical across device
-  counts and placements;
+  counts;
 * **Scaling** — the contract fleet ``HalfCheetah:2,Hopper:2`` must reach
   >= 1.8x modelled training steps/sec going from 1 to 2 accelerators;
-* **Validation** — constructor, placement, and affinity errors fail loud.
+* **Validation** — constructor and affinity errors fail loud.
 """
 
 from __future__ import annotations
@@ -95,29 +95,16 @@ class TestConstruction:
                 == platform.infer_batch(BATCH).total_seconds
             )
 
-    def test_colocated_topology(self, platform):
-        pool = AcceleratorPool(platform, 3)
-        assert pool.collection_devices == (0, 1, 2)
-        assert pool.update_device is None
-
-    def test_disaggregated_topology(self, platform):
-        pool = AcceleratorPool(platform, 3, placement="disaggregated")
-        assert pool.collection_devices == (0, 1)
-        assert pool.update_device == 2
+    @pytest.mark.parametrize("num_devices", [1, 2, 3, 4])
+    def test_every_device_is_a_collection_device(self, platform, num_devices):
+        pool = AcceleratorPool(platform, num_devices)
+        assert pool.collection_devices == tuple(range(num_devices))
 
     def test_rejects_bad_device_counts(self, platform):
         with pytest.raises(ValueError, match="must be >= 1"):
             AcceleratorPool(platform, 0)
         with pytest.raises(ValueError, match="must be an integer"):
             AcceleratorPool(platform, 2.5)
-
-    def test_rejects_unknown_placement(self, platform):
-        with pytest.raises(ValueError, match="placement must be one of"):
-            AcceleratorPool(platform, 2, placement="remote")
-
-    def test_disaggregated_needs_two_devices(self, platform):
-        with pytest.raises(ValueError, match="at least 2 devices"):
-            AcceleratorPool(platform, 1, placement="disaggregated")
 
     def test_device_index_bounds(self, platform):
         pool = AcceleratorPool(platform, 2)
@@ -263,11 +250,6 @@ class TestSharding:
         assert report.num_states == 2
         assert len(report.rows) == 2
 
-    def test_disaggregated_shards_skip_the_update_device(self, platform):
-        pool = AcceleratorPool(platform, 3, placement="disaggregated")
-        shards = pool.shard_widths(8)
-        assert [device for device, _width in shards] == [0, 1]
-
     def test_sharded_latency_is_the_slowest_shard(self, platform):
         pool = AcceleratorPool(platform, 2)
         sharded = pool.infer_batch(64)
@@ -321,26 +303,6 @@ class TestPoolPricing:
                 MIXED, NUM_ENVS, assignment={"hoper": 1}
             )
 
-    def test_disaggregated_pipelined_has_no_inference_contention(self, platform):
-        """The dedicated update device serves no rollout inferences: the
-        pipelined round is exactly max(collection, bare update-stream total)
-        — every group's stream back to back, with no inference term."""
-        pool = AcceleratorPool(platform, 3, placement="disaggregated")
-        collection = pool.fleet_collection_round_seconds(MIXED, NUM_ENVS)
-        streams = sum(
-            platform.for_benchmark(benchmark).update_round_seconds(
-                BATCH, count * NUM_ENVS, pipelined=True
-            )
-            for benchmark, count in MIXED
-        )
-        assert pool.fleet_pipelined_round_seconds(
-            MIXED, NUM_ENVS, BATCH
-        ) == max(collection, streams)
-        # Still an improvement over serializing everything on one device.
-        assert max(collection, streams) < AcceleratorPool(
-            platform, 1
-        ).fleet_pipelined_round_seconds(MIXED, NUM_ENVS, BATCH)
-
     def test_float_round_weights_rejected(self, platform):
         pool = AcceleratorPool(platform, 2)
         with pytest.raises(ValueError, match="must be integers"):
@@ -379,18 +341,14 @@ class TestPoolTraining:
         config = _config(fleet=self.FLEET, schedule="weighted", **overrides)
         return train_fleet(_fleet_agents(), config, platform=platform_hook)
 
-    def test_training_identical_across_devices_and_placements(self, platform):
+    def test_training_identical_across_devices(self, platform):
         single = self._run(platform)
         two = self._run(AcceleratorPool(platform, 2), devices=2)
-        disaggregated = self._run(
-            AcceleratorPool(platform, 3, placement="disaggregated"),
-            devices=3,
-            placement="disaggregated",
-        )
+        three = self._run(AcceleratorPool(platform, 3), devices=3)
         for benchmark in single.benchmarks:
             a = single.per_benchmark[benchmark]
             b = two.per_benchmark[benchmark]
-            c = disaggregated.per_benchmark[benchmark]
+            c = three.per_benchmark[benchmark]
             np.testing.assert_array_equal(a.curve.returns, b.curve.returns)
             np.testing.assert_array_equal(a.curve.returns, c.curve.returns)
             assert a.episode_returns == b.episode_returns == c.episode_returns
@@ -398,7 +356,6 @@ class TestPoolTraining:
     def test_affinity_recorded_on_the_result(self, platform):
         result = self._run(AcceleratorPool(platform, 2), devices=2)
         assert result.devices == 2
-        assert result.placement == "colocated"
         assert result.assignment == {"halfcheetah": 0, "hopper": 1}
         summary = result.summary()
         assert summary["devices"] == 2
@@ -421,7 +378,7 @@ class TestPoolTraining:
     @pytest.mark.parametrize(
         "assignment, message",
         [
-            ({"typo": 1}, r"match no scheduled group: \['typo'\]"),
+            ({"typo": 1}, r"match no fleet entry: \['typo'\]"),
             ({"Hopper": 7}, "assigned to device 7"),
         ],
     )
@@ -453,19 +410,10 @@ class TestPoolTraining:
             self._run(platform, devices=2)
         with pytest.raises(ValueError, match="does not match"):
             self._run(AcceleratorPool(platform, 3), devices=2)
-        with pytest.raises(ValueError, match="placement"):
-            self._run(
-                AcceleratorPool(platform, 2, placement="disaggregated"),
-                devices=2,
-            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="devices must be >= 1"):
             _config(devices=0)
-        with pytest.raises(ValueError, match="placement must be one of"):
-            _config(placement="remote")
-        with pytest.raises(ValueError, match="devices >= 2"):
-            _config(placement="disaggregated", devices=1)
 
 
 class TestHomogeneousOracleSurface:
@@ -544,37 +492,19 @@ class TestHomogeneousOracleSurface:
         assert pooled < single
         assert pooled >= single / 2
 
-    def test_disaggregated_pipelined_round_has_no_contention(self, platform):
-        # The dedicated update device serves no rollout inferences, so the
-        # pipelined round drops the contention term the colocated pool pays
-        # on device 0 — disaggregated can never price above colocated at
-        # equal device count.
-        fleet = [(self.HOMOGENEOUS, 4)]
-        colocated = AcceleratorPool(platform, 2, placement="colocated")
-        disaggregated = AcceleratorPool(platform, 2, placement="disaggregated")
-        assert disaggregated.fleet_pipelined_round_seconds(
-            fleet, NUM_ENVS, BATCH
-        ) <= colocated.fleet_pipelined_round_seconds(fleet, NUM_ENVS, BATCH)
-
-    def test_update_round_runs_on_the_update_device(self, platform):
-        # Colocated, the two groups' blocking update phases run on their own
-        # devices and overlap (the slowest bounds the round); disaggregated,
-        # both run back to back on the dedicated device (index 2).
+    def test_update_phases_on_different_devices_overlap(self, platform):
+        # The two groups' blocking update phases run on their own devices
+        # and overlap: the slowest bounds the round.
         updates = [
             platform.for_benchmark(benchmark).update_round_seconds(
                 BATCH, count * NUM_ENVS
             )
             for benchmark, count in MIXED
         ]
-        colocated = AcceleratorPool(platform, 2)
-        disaggregated = AcceleratorPool(platform, 3, placement="disaggregated")
-        assert disaggregated.update_device == 2
-        assert disaggregated.fleet_sequential_round_seconds(
+        pool = AcceleratorPool(platform, 2)
+        assert pool.fleet_sequential_round_seconds(
             MIXED, NUM_ENVS, BATCH
-        ) == disaggregated.fleet_collection_round_seconds(MIXED, NUM_ENVS) + sum(updates)
-        assert colocated.fleet_sequential_round_seconds(
-            MIXED, NUM_ENVS, BATCH
-        ) == colocated.fleet_collection_round_seconds(MIXED, NUM_ENVS) + max(updates)
+        ) == pool.fleet_collection_round_seconds(MIXED, NUM_ENVS) + max(updates)
 
     def test_sequential_round_is_collection_plus_update(self, platform):
         pool = AcceleratorPool(platform, 2)

@@ -31,7 +31,6 @@ from repro.rl import (
     resolve_precision,
     train,
 )
-from repro.rl.scheduler import ThroughputWeightedPolicy
 
 
 def _numerics(num_bits=16):
@@ -453,47 +452,3 @@ class TestPlatformPricing:
         assert (
             pool.with_precision_state({"default": 32, "layers": {}}) is pool
         )
-
-
-# --------------------------------------------------------------------- #
-# Adaptive re-lock: the scheduler's precision-epoch seam
-# --------------------------------------------------------------------- #
-class TestAdaptiveRelock:
-    def _groups(self):
-        class Group:
-            def __init__(self, key, workers, num_envs):
-                self.key = key
-                self.num_workers = workers
-                self.num_envs = num_envs
-
-        return [Group("halfcheetah", 2, 8), Group("hopper", 2, 8)]
-
-    def _half_state(self):
-        return {"default": 16, "layers": {}}
-
-    def test_non_adaptive_policy_never_relocks(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform)
-        assert policy.relock(self._groups(), precision_state=self._half_state()) is None
-
-    def test_adaptive_relock_reprices_from_the_switched_oracle(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform, adaptive=True)
-        groups = self._groups()
-        before = policy.lock_steps(groups)
-        relocked = policy.relock(groups, precision_state=self._half_state())
-        assert relocked is not None
-        # Deterministic: the same state re-locks to the same allocation.
-        assert relocked == policy.relock(
-            groups, precision_state=self._half_state()
-        )
-        half = platform.with_precision_state(self._half_state())
-        assert relocked == policy.lock_steps(groups, half)
-        assert len(relocked) == len(before)
-
-    def test_explicit_weights_stay_put_across_relock(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(
-            platform=platform, adaptive=True, weights={"hopper": 3}
-        )
-        assert policy.relock(self._groups(), precision_state=self._half_state()) is None

@@ -36,6 +36,8 @@ from repro.rl import (
     DDPGConfig,
     LoadBalancedAssignment,
     PipelinedPolicy,
+    QATController,
+    QATSchedule,
     RoundRobinAssignment,
     SequentialPolicy,
     ThroughputWeightedPolicy,
@@ -45,7 +47,7 @@ from repro.rl import (
     train,
     train_fleet,
 )
-from repro.rl.training import _build_groups, _fleet_plans
+from repro.rl.training import _build_groups, _fleet_plans, _run_groups
 
 
 def _agent(benchmark: str, numerics=None, seed=42) -> DDPGAgent:
@@ -246,6 +248,45 @@ class TestPolicyEquivalence:
             assert a.episode_returns == b.episode_returns
 
 
+class TestWeightsAreFixedForTheRun:
+    """Lock-step weights are resolved once, at scheduler construction: a
+    precision switch mid-run moves neither them nor the round size."""
+
+    def test_weights_survive_a_mid_run_precision_switch(self):
+        numerics = make_numerics("fixar-dynamic")
+        agents = {
+            "HalfCheetah": _agent("HalfCheetah", numerics, seed=1),
+            "Hopper": _agent("Hopper", numerics, seed=2),
+        }
+        config = _config(
+            fleet="HalfCheetah:1,Hopper:1", schedule="weighted", num_envs=4
+        )
+        platform = FixarPlatform(
+            WorkloadSpec.from_benchmark("HalfCheetah", hidden_sizes=(24, 16))
+        )
+        groups = _build_groups(_fleet_plans(agents, config), config)
+        policy = resolve_policy(config, platform)
+        resolved = policy.lock_steps(groups, platform)
+        assert resolved == [14, 15]  # the oracle really weights this fleet
+
+        outcome, _results = _run_groups(
+            groups,
+            config,
+            policy,
+            qat_controller=QATController(numerics, QATSchedule(16, 150)),
+            platform=platform,
+            on_evaluation=None,
+            profiler=None,
+        )
+        # Rounds are (14 + 15) * 4 = 116 steps; the switch lands in round 2 of 3.
+        assert outcome.qat_event.timestep == 150
+        assert outcome.iterations == 3
+        assert outcome.weights == resolved
+        assert outcome.steps_per_round == 116
+        assert outcome.total_timesteps == outcome.iterations * outcome.steps_per_round
+        assert outcome.steps_by_key == {"halfcheetah": 3 * 56, "hopper": 3 * 60}
+
+
 class TestThroughputWeightedPolicy:
     def _groups(self, spec="halfcheetah:2,hopper:2", width=8):
         class Group:
@@ -444,22 +485,16 @@ class TestDeviceAssignmentPolicies:
             groups.append(Group(key, int(count), width))
         return groups
 
-    def _pool(self, devices=2, placement="colocated"):
+    def _pool(self, devices=2):
         from repro.platform import AcceleratorPool
 
         platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        return AcceleratorPool(platform, devices, placement=placement)
+        return AcceleratorPool(platform, devices)
 
     def test_round_robin_deals_in_spec_order(self):
         policy = RoundRobinAssignment()
         assert policy.assign(self._groups(), self._pool(2)) == [0, 1, 0]
         assert policy.assign(self._groups(), self._pool(3)) == [0, 1, 2]
-
-    def test_round_robin_skips_the_update_device_when_disaggregated(self):
-        policy = RoundRobinAssignment()
-        pool = self._pool(3, placement="disaggregated")
-        # Device 2 is reserved for the update streams.
-        assert policy.assign(self._groups(), pool) == [0, 1, 0]
 
     def test_single_device_pool_serializes_everything(self):
         policy = RoundRobinAssignment()
@@ -472,14 +507,13 @@ class TestDeviceAssignmentPolicies:
     def test_affinity_rejects_unknown_benchmarks(self):
         """Same unknown-key contract as the weighted policy's weights."""
         policy = AffinityAssignment({"hoper": 1})
-        with pytest.raises(ValueError, match=r"match no scheduled group.*hoper"):
+        with pytest.raises(ValueError, match=r"match no fleet entry.*hoper"):
             policy.assign(self._groups(), self._pool(2))
 
     def test_affinity_rejects_non_collection_devices(self):
-        pool = self._pool(2, placement="disaggregated")  # device 1 = updates
-        policy = AffinityAssignment({"hopper": 1})
-        with pytest.raises(ValueError, match="collection devices"):
-            policy.assign(self._groups(), pool)
+        policy = AffinityAssignment({"hopper": 2})  # a 2-device pool has 0 and 1
+        with pytest.raises(ValueError, match=r"collection devices are \(0, 1\)"):
+            policy.assign(self._groups(), self._pool(2))
 
     def test_affinity_rejects_float_devices(self):
         with pytest.raises(ValueError, match="must be integers"):

@@ -473,8 +473,6 @@ class TestPolicyServer:
         with pytest.raises(ValueError):
             ServingConfig(batch_cap=0)
         with pytest.raises(ValueError):
-            ServingConfig(placement="sideways")
-        with pytest.raises(ValueError):
             ServingConfig(timeout_seconds=-0.1)
 
 
