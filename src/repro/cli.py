@@ -638,7 +638,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.checkpoint:
         try:
             agent, _metadata = restore_serving_agent(args.checkpoint)
-        except (OSError, KeyError, ValueError) as error:
+        except (OSError, ValueError) as error:
             print(f"error: --checkpoint: {error}", file=sys.stderr)
             return 2
         if (agent.state_dim, agent.action_dim) != (

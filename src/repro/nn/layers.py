@@ -7,6 +7,12 @@ layer exposes ``forward`` and ``backward`` explicitly instead of relying on
 an autograd engine.  All tensors are batch-major: inputs have shape
 ``(batch, features)``.
 
+A :class:`Linear` stores its weight and bias as views into one flat slice
+(weight first, row-major, then bias), and its gradients and raw gradient
+products likewise; an :class:`~repro.nn.network.MLP` lays the slices of all
+its dense layers end to end in one buffer each, so a whole network is updated,
+projected, averaged and zeroed with one call per buffer.
+
 A :class:`Linear` projects its weights through the numeric policy once per
 *write*, not once per pass: it keeps the ``(weight, bias)`` projection it last
 computed and drops it when a writable handle is handed out (``layer.weight``,
@@ -64,15 +70,24 @@ class Layer:
 
 def _parameter_handle(attribute: str, doc: str) -> property:
     """A :class:`Linear` parameter array: handing it out for writing, like
-    replacing it, first drops the layer's cached projection."""
+    assigning to it, first drops the layer's cached projection.  Assignment
+    copies into the array in place (it is a view into the layer's buffer), so
+    the new value must have its shape."""
 
     def read(layer: "Linear") -> np.ndarray:
         layer._projected = None
         return getattr(layer, attribute)
 
     def replace(layer: "Linear", value: np.ndarray) -> None:
+        target = getattr(layer, attribute)
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != target.shape:
+            raise ValueError(
+                f"{layer.name}: cannot assign shape {value.shape} to a parameter "
+                f"of shape {target.shape}"
+            )
         layer._projected = None
-        setattr(layer, attribute, value)
+        target[...] = value
 
     return property(read, replace, doc=doc)
 
@@ -108,11 +123,38 @@ class Linear(Layer):
         self.numerics = numerics or Numerics()
         #: ``(numerics, weight_format, weight, bias)`` of the last projection.
         self._projected: Optional[tuple] = None
-        self._weight = weight_init((in_features, out_features), rng)
-        self._bias = bias_init((out_features,), rng)
-        self.grad_weight = np.zeros_like(self._weight)
-        self.grad_bias = np.zeros_like(self._bias)
+        weight = weight_init((in_features, out_features), rng)
+        bias = bias_init((out_features,), rng)
+        self._flat = np.concatenate([np.ravel(weight), bias], dtype=np.float64)
+        self._grad_flat = np.zeros_like(self._flat)
+        self._bind(self._flat, self._grad_flat, np.empty_like(self._flat), 0)
         self._inputs: Optional[np.ndarray] = None
+
+    def _bind(
+        self,
+        parameters: np.ndarray,
+        gradients: np.ndarray,
+        products: np.ndarray,
+        offset: int,
+    ) -> None:
+        """Move the layer's storage into flat slices, keeping its values.
+
+        ``parameters`` and ``gradients`` hold the weight (row-major) then the
+        bias; ``products`` receives the raw weight / bias gradient products of
+        :meth:`backward_products`.  ``offset`` is where the slices start in
+        the buffers they were cut from (see :meth:`invalidate`).
+        """
+        parameters[...] = self._flat
+        gradients[...] = self._grad_flat
+        split = self.in_features * self.out_features
+        shape = (self.in_features, self.out_features)
+        self._flat, self._grad_flat, self._products = parameters, gradients, products
+        self._span = (offset, offset + split, offset + parameters.size)
+        self._weight, self._bias = parameters[:split].reshape(shape), parameters[split:]
+        self.grad_weight, self.grad_bias = gradients[:split].reshape(shape), gradients[split:]
+        self._product_weight = products[:split].reshape(shape)
+        self._product_bias = products[split:]
+        self._projected = None
 
     # ------------------------------------------------------------------ #
     # Parameters and their cached projection
@@ -120,19 +162,21 @@ class Linear(Layer):
     weight = _parameter_handle("_weight", "The weight matrix, ``(in_features, out_features)``.")
     bias = _parameter_handle("_bias", "The bias vector, ``(out_features,)``.")
 
-    def invalidate(
-        self, weight: Optional[np.ndarray] = None, bias: Optional[np.ndarray] = None
-    ) -> None:
+    # repro-lint: hot
+    def invalidate(self, projected: Optional[np.ndarray] = None) -> None:
         """The parameter arrays were written in place: drop the projection.
 
-        A writer that has just stored ``project_weight`` of both arrays, under
-        the layer's current numerics, passes the two projected arrays; they
-        serve the next passes in place of a second projection.
+        A writer that has just stored ``project_weight`` of the whole buffer
+        the layer's slice was cut from, under the layer's current numerics,
+        passes that projected buffer; the layer's slice of it serves the next
+        passes in place of a second projection.
         """
         self._projected = None
-        if weight is not None and bias is not None:
+        if projected is not None:
             numerics = self.numerics
-            self._projected = (numerics, numerics.weight_format, weight, bias)
+            start, split, stop = self._span
+            weight = projected[start:split].reshape(self.in_features, self.out_features)
+            self._projected = (numerics, numerics.weight_format, weight, projected[split:stop])
 
     def _projected_parameters(self) -> tuple:
         numerics, cached = self.numerics, self._projected
@@ -158,18 +202,38 @@ class Linear(Layer):
         return inputs @ weight + bias
 
     # repro-lint: hot
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_products(
+        self,
+        grad_output: np.ndarray,
+        parameter_grads: bool = True,
+        input_grad: bool = True,
+    ) -> Optional[np.ndarray]:
+        """Back-propagate through the layer without touching its gradients.
+
+        Projects ``grad_output``.  With ``parameter_grads`` the raw weight and
+        bias products (``inputs.T @ g`` and ``g.sum(axis=0)``) are written
+        into the layer's slice of its products buffer, for the owner of that
+        buffer to project and add into the gradients.  Returns the input
+        gradient ``g @ W.T`` unprojected, or ``None`` without ``input_grad``.
+        """
         inputs = self._inputs
         if inputs is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         numerics = self.numerics
-        project_gradient = numerics.project_gradient
-        grad_output = project_gradient(grad_output)
-        weight = self._projected_parameters()[2]
-        self.grad_weight += project_gradient(inputs.T @ grad_output)
-        self.grad_bias += project_gradient(grad_output.sum(axis=0))
-        return grad_output @ weight.T
+        grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
+        grad_output = numerics.project_gradient(grad_output)
+        if parameter_grads:
+            np.matmul(inputs.T, grad_output, out=self._product_weight)
+            np.sum(grad_output, axis=0, out=self._product_bias)
+        if not input_grad:
+            return None
+        return grad_output @ self._projected_parameters()[2].T
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """:meth:`backward_products`, then ``gradients += project(products)``."""
+        gradient = self.backward_products(grad_output)
+        self._grad_flat += self.numerics.project_gradient(self._products)
+        return gradient
 
     # ------------------------------------------------------------------ #
     def parameters(self) -> Dict[str, np.ndarray]:
@@ -183,8 +247,7 @@ class Linear(Layer):
         return {f"{self.name}.weight": self.grad_weight, f"{self.name}.bias": self.grad_bias}
 
     def zero_grad(self) -> None:
-        self.grad_weight[...] = 0.0
-        self.grad_bias[...] = 0.0
+        self._grad_flat.fill(0.0)
 
     @property
     def output_dim(self) -> int:
@@ -193,7 +256,7 @@ class Linear(Layer):
     @property
     def parameter_count(self) -> int:
         """Number of scalar parameters (weights plus biases)."""
-        return self._weight.size + self._bias.size
+        return self._flat.size
 
 
 class ReLU(Layer):

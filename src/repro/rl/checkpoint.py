@@ -44,7 +44,7 @@ _REQUIRED_METADATA = (
 
 
 def _network_arrays(prefix: str, network: MLP) -> Dict[str, np.ndarray]:
-    return {f"{prefix}::{name}": value for name, value in network.parameters().items()}
+    return {f"{prefix}::{name}": value for name, value in network._parameters().items()}
 
 
 def _agent_networks(agent: Union[DDPGAgent, TD3Agent]) -> Dict[str, MLP]:
@@ -134,9 +134,10 @@ def read_checkpoint(
     The one place a checkpoint file is opened and its ``__metadata__``
     decoded.  Raises ``ValueError`` for an archive that cannot be read (not
     a zip, truncated, a corrupt member), a missing or undecodable
-    ``__metadata__``, a missing required metadata key, and a
-    ``format_version`` other than the one this module writes; a path that
-    cannot be opened stays an ``OSError``.
+    ``__metadata__``, a missing required metadata key, a ``format_version``
+    other than the one this module writes, and a ``numerics`` entry that
+    names no regime; a path that cannot be opened stays an ``OSError``.
+    Whether the arrays fit an agent is :func:`restore_agent`'s check.
     """
     import zipfile  # numpy loads it on first .npz use; keep it off `import repro`
 
@@ -165,6 +166,8 @@ def read_checkpoint(
             f"checkpoint format_version {metadata['format_version']!r} is not "
             f"the supported version {_FORMAT_VERSION}"
         )
+    if not isinstance(metadata["numerics"], dict) or "name" not in metadata["numerics"]:
+        raise ValueError("checkpoint __metadata__ numerics names no regime")
     return metadata, arrays
 
 
@@ -187,7 +190,13 @@ def restore_agent(
     arrays: Dict[str, np.ndarray],
 ) -> None:
     """Apply an already-read checkpoint (:func:`read_checkpoint`'s pair) to
-    a compatible agent — :func:`load_agent_into` without the file read."""
+    a compatible agent — :func:`load_agent_into` without the file read.
+
+    All or nothing: a checkpoint that lacks any of the agent's parameters,
+    holds one the agent does not have, holds one in another shape, or holds a
+    malformed ``qat`` block raises ``ValueError`` before anything is written;
+    then each network is written with one ``set_parameters`` call.
+    """
     if metadata["agent_class"] != type(agent).__name__:
         raise ValueError(
             f"checkpoint holds a {metadata['agent_class']}, got a {type(agent).__name__}"
@@ -199,38 +208,116 @@ def restore_agent(
             f"({agent.state_dim}, {agent.action_dim})"
         )
     networks = _agent_networks(agent)
-    for key, value in arrays.items():
-        prefix, _, parameter_name = key.partition("::")
-        if prefix not in networks:
-            raise ValueError(f"checkpoint contains unknown network {prefix!r}")
-        networks[prefix].set_parameters({parameter_name: value})
-
+    _check_parameter_set(networks, arrays)
+    _restore_numerics(agent.numerics, metadata.get("qat"))
+    for prefix, network in networks.items():
+        network.set_parameters(
+            {name: arrays[f"{prefix}::{name}"] for name in network._parameters()}
+        )
     agent.update_count = int(metadata["update_count"])
-    qat_state = metadata.get("qat")
-    numerics = agent.numerics
-    if qat_state and isinstance(numerics, DynamicFixedPointNumerics):
-        if qat_state["range_min"] is not None:
-            numerics.range_tracker.min_value = float(qat_state["range_min"])
-            numerics.range_tracker.max_value = float(qat_state["range_max"])
-            numerics.range_tracker.count = int(qat_state["range_count"])
-        for layer, layer_state in (qat_state.get("layers") or {}).items():
-            tracker = numerics.layer_trackers.get(layer)
-            if tracker is None:
-                tracker = numerics.layer_trackers[layer] = RangeTracker()
-            if layer_state.get("tracker_min") is not None:
-                tracker.min_value = float(layer_state["tracker_min"])
-                tracker.max_value = float(layer_state["tracker_max"])
-                tracker.count = int(layer_state["tracker_count"])
-            if layer_state.get("switched"):
-                bits = int(layer_state["bits"])
-                # Rebuilding from the recorded range reproduces the frozen
-                # quantizer exactly (delta / zero_point are pure functions
-                # of bits and range).
-                numerics.layer_quantizers[layer] = AffineQuantizer(
-                    bits,
-                    float(layer_state["min"]),
-                    float(layer_state["max"]),
-                )
-                numerics.layer_bits[layer] = bits
-        if qat_state["half_mode"] and not numerics.half_mode:
-            numerics.switch_to_half()
+
+
+def _check_parameter_set(networks: Dict[str, MLP], arrays: Dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` unless ``arrays`` holds exactly every parameter of
+    every network, each in its shape — before anything is written."""
+    expected = {
+        f"{prefix}::{name}": value.shape
+        for prefix, network in networks.items()
+        for name, value in network._parameters().items()
+    }
+    problems = []
+    missing = [key for key in expected if key not in arrays]
+    unknown = [key for key in arrays if key not in expected]
+    mismatched = [
+        f"{key} {arrays[key].shape} vs {shape}"
+        for key, shape in expected.items()
+        if key in arrays and arrays[key].shape != shape
+    ]
+    if missing:
+        problems.append(f"missing {missing}")
+    if unknown:
+        problems.append(f"unknown {unknown}")
+    if mismatched:
+        problems.append(f"shape mismatch {mismatched}")
+    if problems:
+        raise ValueError(
+            "checkpoint parameters do not fit the agent: " + "; ".join(problems)
+        )
+
+
+def _restore_numerics(numerics, qat_state) -> None:
+    """Apply a checkpoint's ``qat`` block to a dynamic numeric policy.
+
+    The whole block is read first — every value converted, every frozen
+    quantizer rebuilt — so a malformed one raises ``ValueError`` and leaves
+    the live numerics, which the agent's replicas share, untouched.
+    """
+    if not qat_state or not isinstance(numerics, DynamicFixedPointNumerics):
+        return
+    try:
+        global_range, layers, half_mode = _read_qat(qat_state, numerics)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"checkpoint qat metadata is malformed: {error!r}") from None
+    if global_range is not None:
+        tracker = numerics.range_tracker
+        tracker.min_value, tracker.max_value, tracker.count = global_range
+    for layer, (tracker_range, quantizer) in layers.items():
+        tracker = numerics.layer_trackers.get(layer)
+        if tracker is None:
+            tracker = numerics.layer_trackers[layer] = RangeTracker()
+        if tracker_range is not None:
+            tracker.min_value, tracker.max_value, tracker.count = tracker_range
+        if quantizer is not None:
+            numerics.layer_quantizers[layer] = quantizer
+            numerics.layer_bits[layer] = quantizer.num_bits
+    if half_mode and not numerics.half_mode:
+        numerics.switch_to_half()
+
+
+def _read_qat(qat_state, numerics) -> tuple:
+    """A ``qat`` block as ``(global range, {layer: (tracker range,
+    quantizer)}, half_mode)``, each range ``(min, max, count)`` or ``None``.
+
+    Raises ``KeyError`` / ``TypeError`` / ``ValueError`` for a malformed
+    block, without touching ``numerics``.
+    """
+    if not isinstance(qat_state, dict):
+        raise TypeError(f"qat is a {type(qat_state).__name__}, not an object")
+    half_mode = qat_state["half_mode"]
+    if not isinstance(half_mode, bool):
+        raise TypeError(f"half_mode is {half_mode!r}, not a boolean")
+    global_range = None
+    if qat_state["range_min"] is not None:
+        global_range = (
+            float(qat_state["range_min"]),
+            float(qat_state["range_max"]),
+            int(qat_state["range_count"]),
+        )
+    layer_states = qat_state.get("layers") or {}
+    if not isinstance(layer_states, dict):
+        raise TypeError(f"layers is a {type(layer_states).__name__}, not an object")
+    layers = {}
+    for layer, layer_state in layer_states.items():
+        if not isinstance(layer_state, dict):
+            raise TypeError(f"layer {layer!r} is a {type(layer_state).__name__}, not an object")
+        tracker_range = None
+        if layer_state.get("tracker_min") is not None:
+            tracker_range = (
+                float(layer_state["tracker_min"]),
+                float(layer_state["tracker_max"]),
+                int(layer_state["tracker_count"]),
+            )
+        quantizer = None
+        if layer_state.get("switched"):
+            # Rebuilding from the recorded range reproduces the frozen
+            # quantizer exactly (delta / zero_point are pure functions of
+            # bits and range).
+            quantizer = AffineQuantizer(
+                int(layer_state["bits"]), float(layer_state["min"]), float(layer_state["max"])
+            )
+        layers[layer] = (tracker_range, quantizer)
+    if half_mode and not numerics.half_mode:
+        # The switch freezes the restored global range; it must build.
+        restored = RangeTracker(*global_range) if global_range else numerics.range_tracker
+        AffineQuantizer.from_tracker(numerics.num_bits, restored)
+    return global_range, layers, half_mode

@@ -182,23 +182,21 @@ class DDPGAgent:
         critic_inputs = np.concatenate([batch.states, batch.actions], axis=1)
         q_values = self.critic.forward(critic_inputs)
         critic_loss, critic_grad = mse_loss(q_values, target_q)
-        self.critic.backward(critic_grad)
+        self.critic.backward(critic_grad, input_grad=False)
         self.critic_optimizer.step(self.critic.gradients())
 
         # ----- Actor policy gradient (FP + BP + WU on the actor network) -- #
+        # The critic only carries the actor loss back to the actions: BP
+        # without weight gradients, the accelerator's dataflow for this pass.
         self.actor.zero_grad()
-        self.critic.zero_grad()
         predicted_actions = self.actor.forward(batch.states)
         policy_inputs = np.concatenate([batch.states, predicted_actions], axis=1)
         policy_q = self.critic.forward(policy_inputs)
         actor_loss, q_grad = policy_gradient_loss(policy_q)
-        input_grad = self.critic.backward(q_grad)
+        input_grad = self.critic.backward(q_grad, parameter_grads=False)
         action_grad = input_grad[:, self.state_dim:]
-        self.actor.backward(action_grad)
+        self.actor.backward(action_grad, input_grad=False)
         self.actor_optimizer.step(self.actor.gradients())
-        # The critic gradients accumulated while differentiating through it
-        # belong to the actor's objective; they are discarded on the next
-        # zero_grad rather than applied.
 
         # ----- Target network soft update ---------------------------------- #
         self.target_actor.soft_update_from(self.actor, self.config.tau)

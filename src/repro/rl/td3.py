@@ -159,7 +159,7 @@ class TD3Agent:
             critic.zero_grad()
             predictions = critic.forward(critic_inputs)
             loss, grad = mse_loss(predictions, td_target)
-            critic.backward(grad)
+            critic.backward(grad, input_grad=False)
             optimizer.step(critic.gradients())
             critic_losses.append(loss)
             if q_values is None:
@@ -169,13 +169,12 @@ class TD3Agent:
         actor_loss = float("nan")
         if self.update_count % config.policy_delay == 0:
             self.actor.zero_grad()
-            self.critic_1.zero_grad()
             predicted_actions = self.actor.forward(batch.states)
             policy_inputs = np.concatenate([batch.states, predicted_actions], axis=1)
             policy_q = self.critic_1.forward(policy_inputs)
             actor_loss, q_grad = policy_gradient_loss(policy_q)
-            input_grad = self.critic_1.backward(q_grad)
-            self.actor.backward(input_grad[:, self.state_dim:])
+            input_grad = self.critic_1.backward(q_grad, parameter_grads=False)
+            self.actor.backward(input_grad[:, self.state_dim:], input_grad=False)
             self.actor_optimizer.step(self.actor.gradients())
 
             self.target_actor.soft_update_from(self.actor, config.tau)

@@ -471,10 +471,10 @@ class AsyncCollector:
     # Weight broadcast
     # ------------------------------------------------------------------ #
     def _actor_parameters(self):
-        return {
-            name: value.copy()
-            for name, value in self.source_agent.actor.parameters().items()
-        }
+        """``name → array`` views into one copy of the learner actor's
+        parameter buffer.  A read: the learner keeps its cached projections."""
+        actor = self.source_agent.actor
+        return actor._views(actor._flat.copy())
 
     def broadcast_weights(self) -> None:
         """Push the learner's current actor weights to every worker replica.

@@ -35,7 +35,8 @@ def small_agent(rng) -> DDPGAgent:
 @pytest.fixture
 def checkpoints(tmp_path, rng):
     """``good`` — a real HalfCheetah checkpoint — plus every way a restore
-    must reject one, as ``{name: path}`` (all but ``good`` are unusable)."""
+    must reject one, as ``{name: path}`` (all but ``good`` are unusable; the
+    last four read fine and only fail to fit the agent)."""
     import json
 
     from repro.nn import make_numerics
@@ -65,6 +66,18 @@ def checkpoints(tmp_path, rng):
     def encoded(meta):
         return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
 
+    # A qat block that would change the numerics' ranges and a layer's
+    # quantizer before the reader reached what is wrong with it.
+    qat = {
+        **metadata["qat"],
+        "range_min": -2.0, "range_max": 3.0, "range_count": 7,
+        "layers": {
+            "actor_fc0": {
+                "switched": True, "bits": 8, "min": -1.0, "max": 1.0,
+                "tracker_min": -1.0, "tracker_max": 1.0, "tracker_count": 5,
+            },
+        },
+    }
     flipped = bytearray(data)
     for offset in range(200, 260):  # inside the first member's compressed stream
         flipped[offset] ^= 0xFF
@@ -88,5 +101,21 @@ def checkpoints(tmp_path, rng):
         ),
         "format-version-2": resave(
             "format-version-2", __metadata__=encoded({**metadata, "format_version": 2})
+        ),
+        "missing-parameter": resave(
+            "missing-parameter", **{"actor::0.actor_fc0.weight": None}
+        ),
+        "unknown-parameter": resave(
+            "unknown-parameter", **{"actor::9.bogus.weight": np.zeros((2, 2))}
+        ),
+        "qat-layers-not-dict": resave(
+            "qat-layers-not-dict",
+            __metadata__=encoded({**metadata, "qat": {**qat, "layers": ["actor_fc0"]}}),
+        ),
+        "qat-missing-half-mode": resave(
+            "qat-missing-half-mode",
+            __metadata__=encoded(
+                {**metadata, "qat": {k: v for k, v in qat.items() if k != "half_mode"}}
+            ),
         ),
     }

@@ -326,6 +326,31 @@ class TestReadCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_agent_into(_ddpg(np.random.default_rng(0)), checkpoints[name])
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("missing-parameter", r"missing \['actor::0\.actor_fc0\.weight'\]"),
+            ("unknown-parameter", r"unknown \['actor::9\.bogus\.weight'\]"),
+            ("qat-layers-not-dict", "qat metadata is malformed: .*layers is a list"),
+            ("qat-missing-half-mode", "qat metadata is malformed: KeyError\\('half_mode'\\)"),
+        ],
+    )
+    def test_a_checkpoint_that_does_not_fit_restores_nothing(self, checkpoints, name, message):
+        read_checkpoint(checkpoints[name])  # a readable archive that does not fit
+        agent = DDPGAgent(
+            17, 6, DDPGConfig(hidden_sizes=(16, 12)),
+            numerics=make_numerics("fixar-dynamic"), rng=np.random.default_rng(5),
+        )
+        agent.act(np.zeros(17))  # observe a range, so the numerics hold state
+        prefixes = ("actor", "critic", "target_actor", "target_critic")
+        before = {prefix: getattr(agent, prefix)._flat.copy() for prefix in prefixes}
+        numerics_before = checkpoint_metadata(agent)
+        with pytest.raises(ValueError, match=message):
+            load_agent_into(agent, checkpoints[name])
+        for prefix in prefixes:
+            np.testing.assert_array_equal(getattr(agent, prefix)._flat, before[prefix])
+        assert checkpoint_metadata(agent) == numerics_before
+
     def test_missing_file_stays_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_checkpoint(tmp_path / "absent.npz")

@@ -5,10 +5,17 @@ tests here compare it with math that never caches anything:
 
 * :func:`reference_passes` recomputes one forward / backward pass with
   ``x @ pw(W.copy()) + pw(b.copy())`` after every writer the code base has;
-* :func:`as_reference` turns a twin agent into the parent commit's learner
-  (a dense layer that projects on every pass, a backward pass that projects
-  after every layer), and whole runs of ``update`` must end with every
-  parameter, gradient and Adam moment equal.
+* :func:`as_reference` turns a twin agent into the uncached per-tensor
+  learner (a dense layer that projects on every pass, a backward pass that
+  projects after every layer and computes every gradient, an Adam step, a
+  Polyak average and a projection per named tensor), and whole runs of
+  ``update`` must end with every parameter, target, Adam moment and every
+  gradient an optimizer consumed equal.
+
+Since a network keeps its parameters and gradients in one flat buffer each,
+the tests also pin that every layer array stays a view into that buffer after
+every writer, and that gradient accumulation across passes is elementwise
+``grad += project(product)``.
 
 The reference reads ``layer._weight`` on purpose: ``layer.weight`` hands out
 a writable handle and drops the cache, which would hide a stale projection
@@ -386,10 +393,116 @@ class TestAtomicWrites:
 
 
 # --------------------------------------------------------------------------- #
-# Whole learner runs against the parent commit's math
+# One flat buffer per network
+# --------------------------------------------------------------------------- #
+def assert_views_of_the_buffers(mlp: MLP) -> None:
+    for layer in mlp.layers:
+        if isinstance(layer, Linear):
+            for array in (layer._weight, layer._bias):
+                assert np.shares_memory(array, mlp._flat), layer.name
+            for array in (layer.grad_weight, layer.grad_bias):
+                assert np.shares_memory(array, mlp._grad_flat), layer.name
+    for array in mlp._parameters().values():
+        assert np.shares_memory(array, mlp._flat)
+    for array in mlp.gradients().values():
+        assert np.shares_memory(array, mlp._grad_flat)
+
+
+class TestOneBufferPerNetwork:
+    def test_every_writer_keeps_the_layers_views_of_the_buffer(self, tmp_path, passes):
+        agent = _agent()
+        networks = [agent.actor, agent.critic, agent.target_actor, agent.target_critic]
+        for mlp in networks:
+            assert_views_of_the_buffers(mlp)
+        other = _actor(3)
+        agent.actor.set_parameters(other.parameters())
+        agent.actor.set_parameters({"0.actor_fc0.bias": np.zeros(HIDDEN[0])})
+        agent.target_actor.copy_from(other)
+        agent.target_actor.soft_update_from(agent.actor, 0.5)
+        agent.actor.layers[0].weight = np.full((STATE_DIM, HIDDEN[0]), 0.25)
+        agent.actor.layers[0].bias = np.full(HIDDEN[0], -0.25)
+        agent.update(next(_batches(1)))
+        load_agent_into(agent, save_agent(_agent(seed=3), tmp_path / "agent.npz"))
+        for mlp in networks:
+            assert_views_of_the_buffers(mlp)
+        np.testing.assert_array_equal(agent.actor.layers[0]._weight, _agent(seed=3).actor.layers[0]._weight)
+
+        workers = [
+            CollectorWorker.from_agent(w, agent, HopperEnv(seed=0, max_episode_steps=30), 2)
+            for w in range(2)
+        ]
+        collector = AsyncCollector(
+            workers, ReplayBuffer(100, STATE_DIM, ACTION_DIM), source_agent=agent
+        )
+        collector.broadcast_weights()
+        for worker in workers:
+            replica = worker.engine.agent.actor
+            assert_views_of_the_buffers(replica)
+            np.testing.assert_array_equal(replica._flat, agent.actor._flat)
+            assert not np.shares_memory(replica._flat, agent.actor._flat)
+
+    def test_assigning_a_parameter_copies_into_the_buffer_with_its_shape(self):
+        mlp = _actor()
+        layer = mlp.layers[0]
+        with pytest.raises(ValueError, match=r"cannot assign shape \(2, 2\)"):
+            layer.weight = np.zeros((2, 2))
+        value = np.full(layer._bias.shape, 0.5)
+        layer.bias = value
+        value[...] = 0.0
+        np.testing.assert_array_equal(mlp._parameters()["0.actor_fc0.bias"], 0.5)
+
+    def test_a_network_optimizer_rejects_a_plain_gradient_dict(self):
+        mlp = _actor()
+        optimizer = Adam(mlp.parameters(), 1e-2)
+        before = mlp._flat.copy()
+        with pytest.raises(TypeError, match=r"gradients\(\)"):
+            optimizer.step(dict(mlp.gradients()))
+        np.testing.assert_array_equal(mlp._flat, before)
+
+    def test_two_passes_without_zero_grad_accumulate_per_tensor(self, passes):
+        mlp = _actor()
+        rng = np.random.default_rng(3)
+        runs = [(rng.normal(size=(5, STATE_DIM)), rng.normal(size=(5, ACTION_DIM))) for _ in range(2)]
+        expected = {}
+        for inputs, upstream in runs:
+            _, _, gradients = reference_passes(mlp, inputs, upstream)
+            for name, (weight, bias) in gradients.items():
+                before = expected.get(name, (0.0, 0.0))
+                expected[name] = (before[0] + weight, before[1] + bias)
+        mlp.zero_grad()
+        for inputs, upstream in runs:
+            mlp.forward(inputs)
+            mlp.backward(upstream)
+        for layer in mlp.layers:
+            if isinstance(layer, Linear):
+                np.testing.assert_array_equal(layer.grad_weight, expected[layer.name][0])
+                np.testing.assert_array_equal(layer.grad_bias, expected[layer.name][1])
+
+    @pytest.mark.parametrize("regime", ["fixed32", "fixar-dynamic", "float32"])
+    def test_backward_switches_skip_only_unread_work(self, passes, regime):
+        mlp = _actor(numerics=make_numerics(regime))
+        inputs, upstream = passes
+        _, expected_gradient, expected = reference_passes(mlp, inputs, upstream)
+        mlp.zero_grad()
+        mlp.forward(inputs)
+        assert mlp.backward(upstream, input_grad=False) is None
+        for layer in mlp.layers:
+            if isinstance(layer, Linear):
+                np.testing.assert_array_equal(layer.grad_weight, expected[layer.name][0])
+                np.testing.assert_array_equal(layer.grad_bias, expected[layer.name][1])
+        accumulated = mlp._grad_flat.copy()
+        mlp.forward(inputs)
+        np.testing.assert_array_equal(
+            mlp.backward(upstream, parameter_grads=False), expected_gradient
+        )
+        np.testing.assert_array_equal(mlp._grad_flat, accumulated)
+
+
+# --------------------------------------------------------------------------- #
+# Whole learner runs against the uncached per-tensor learner
 # --------------------------------------------------------------------------- #
 class ReferenceLinear(Layer):
-    """The dense layer of the parent commit: projects on every pass."""
+    """A dense layer that projects its weights on every pass."""
 
     def __init__(self, linear: Linear):
         self.name, self.numerics = linear.name, linear.numerics
@@ -424,7 +537,8 @@ class ReferenceLinear(Layer):
 
 
 class ReferenceMLP(MLP):
-    """The passes of the parent commit: a projection after every layer."""
+    """Per-tensor passes: a projection after every layer, every gradient
+    computed whatever the caller reads, a Polyak average per tensor."""
 
     def forward(self, inputs):
         activation = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -437,23 +551,65 @@ class ReferenceMLP(MLP):
             activation = self.numerics.project_activation(activation, layer=current)
         return activation
 
-    def backward(self, grad_output):
+    def backward(self, grad_output, **_switches):
         gradient = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         for layer in reversed(self.layers):
             gradient = layer.backward(gradient)
             gradient = self.numerics.project_gradient(gradient)
         return gradient
 
+    def zero_grad(self):
+        for layer in self.layers:
+            layer.zero_grad()
+
+    def soft_update_from(self, other, tau):
+        source = other._parameters()
+        for name, value in self._parameters().items():
+            value[...] = tau * source[name] + (1.0 - tau) * value
+
+
+class ReferenceAdam:
+    """Adam one named tensor at a time, allocating its temporaries."""
+
+    def __init__(self, optimizer: Adam):
+        self.parameters = dict(optimizer.parameters)
+        self.learning_rate, self.project = optimizer.learning_rate, optimizer.project
+        self.beta1, self.beta2, self.epsilon = optimizer.beta1, optimizer.beta2, optimizer.epsilon
+        self.step_count = 0
+        self._moment1 = {name: np.zeros_like(v) for name, v in self.parameters.items()}
+        self._moment2 = {name: np.zeros_like(v) for name, v in self.parameters.items()}
+
+    def step(self, gradients):
+        self.step_count += 1
+        bias_correction1 = 1.0 - self.beta1 ** self.step_count
+        bias_correction2 = 1.0 - self.beta2 ** self.step_count
+        for name, param in self.parameters.items():
+            grad = gradients[name]
+            m, v = self._moment1[name], self._moment2[name]
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
+            m_hat = m / bias_correction1
+            v_hat = v / bias_correction2
+            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        if self.project is not None:
+            for value in self.parameters.values():
+                value[...] = self.project(value)
+
+    def state(self):
+        return {"moment1": self._moment1, "moment2": self._moment2}
+
 
 def as_reference(agent):
-    """Swap every network of ``agent`` for the parent commit's, in place."""
-    for network in vars(agent).values():
-        if isinstance(network, MLP):
-            network.__class__ = ReferenceMLP
-            network.layers = [
+    """Swap every network and optimizer of ``agent`` for the per-tensor ones."""
+    for owner, value in list(vars(agent).items()):
+        if isinstance(value, MLP):
+            value.__class__ = ReferenceMLP
+            value.layers = [
                 ReferenceLinear(layer) if isinstance(layer, Linear) else layer
-                for layer in network.layers
+                for layer in value.layers
             ]
+        elif isinstance(value, Adam):
+            setattr(agent, owner, ReferenceAdam(value))
     return agent
 
 
@@ -469,15 +625,34 @@ def _batches(count: int, size: int = 16):
         )
 
 
+def _record_consumed(agent) -> list:
+    """Every gradient any optimizer of ``agent`` consumes, copied as it steps."""
+    consumed = []
+    for owner, optimizer in vars(agent).items():
+        if isinstance(optimizer, (Adam, ReferenceAdam)):
+
+            def recording(gradients, owner=owner, step=optimizer.step):
+                consumed.append({f"{owner}/{k}": np.array(v) for k, v in gradients.items()})
+                step(gradients)
+
+            optimizer.step = recording
+    return consumed
+
+
 def _learner_state(agent):
+    """Parameters of every network (targets included) and Adam moments.
+
+    Not the gradient buffers: the critic's no longer ends an update holding
+    the actor objective's sum, which the per-tensor learner computes through
+    the critic and throws away; the gradients that matter are the ones each
+    optimizer consumed (:func:`_record_consumed`).
+    """
     state = {}
     for owner, value in vars(agent).items():
         if isinstance(value, MLP):
             for name, array in value._parameters().items():
                 state[f"{owner}/{name}"] = array
-            for name, array in value.gradients().items():
-                state[f"{owner}/grad/{name}"] = array
-        elif isinstance(value, Adam):
+        elif isinstance(value, (Adam, ReferenceAdam)):
             for moment, arrays in value.state().items():
                 for name, array in arrays.items():
                     state[f"{owner}/{moment}/{name}"] = array
@@ -489,6 +664,7 @@ def _learner_state(agent):
 def test_fifty_updates_match_the_uncached_learner(regime, cls, config):
     agent = _agent(regime, cls=cls, config=config)
     twin = as_reference(_agent(regime, cls=cls, config=config))
+    consumed, expected_consumed = _record_consumed(agent), _record_consumed(twin)
     probe = np.random.default_rng(5).normal(size=(STATE_DIM,))
     for index, batch in enumerate(_batches(50)):
         if index == 25 and regime == "fixar-dynamic":
@@ -501,21 +677,17 @@ def test_fifty_updates_match_the_uncached_learner(regime, cls, config):
     assert state.keys() == expected_state.keys() and len(state) > 30
     for name, array in state.items():
         np.testing.assert_array_equal(array, expected_state[name], err_msg=name)
+    assert len(consumed) == len(expected_consumed) >= 100
+    for step, expected_step in zip(consumed, expected_consumed):
+        assert step.keys() == expected_step.keys()
+        for name, array in step.items():
+            np.testing.assert_array_equal(array, expected_step[name], err_msg=name)
 
 
 # --------------------------------------------------------------------------- #
 # The count contract (no wall clock)
 # --------------------------------------------------------------------------- #
-@pytest.mark.perf
-@pytest.mark.smoke
-def test_weight_projections_per_update_and_per_act(monkeypatch):
-    """One update projects 24 weight arrays; acting projects 6, once.
-
-    Twelve projections are the two optimizers' post-step snaps (which are
-    also the online networks' next cache fill) and twelve refill the two
-    target networks after their soft update.  A hundred ``act`` calls fill
-    the actor's three layers at most once and never project again.
-    """
+def _count_projections(monkeypatch) -> dict:
     calls = {"project_weight": 0, "quantize": 0}
     project_weight, quantize = FixedPointNumerics.project_weight, QFormat.quantize
 
@@ -529,7 +701,21 @@ def test_weight_projections_per_update_and_per_act(monkeypatch):
 
     monkeypatch.setattr(FixedPointNumerics, "project_weight", counted_project_weight)
     monkeypatch.setattr(QFormat, "quantize", counted_quantize)
+    return calls
 
+
+@pytest.mark.perf
+@pytest.mark.smoke
+def test_weight_projections_per_update_and_per_act(monkeypatch):
+    """One update projects 4 weight buffers; acting projects 6 arrays, once.
+
+    Two projections are the two optimizers' post-step snaps (which are also
+    the online networks' next cache fill) and two refill the two target
+    networks after their soft update — one per network buffer.  A hundred
+    ``act`` calls fill the actor's three layers at most once and never
+    project again.
+    """
+    calls = _count_projections(monkeypatch)
     agent = _agent("fixar-dynamic")
     batches = list(_batches(2))
     state = np.random.default_rng(5).normal(size=(STATE_DIM,))
@@ -537,10 +723,14 @@ def test_weight_projections_per_update_and_per_act(monkeypatch):
 
     calls.update(project_weight=0, quantize=0)
     agent.update(batches[1])
-    assert calls["project_weight"] == 24
-    # + 27 layer outputs over the five forward passes + 36 gradients (each of
-    # the nine dense backward passes projects three, MLP.backward one more).
-    assert calls["quantize"] == 24 + 27 + 36
+    assert calls["project_weight"] == 4
+    # + 27 layer outputs over the five forward passes + 18 gradients: the
+    # three backward passes project what their three dense layers are handed
+    # (9) and the two input gradients between layers (6); the critic's pass
+    # for the actor also projects the input gradient it returns (1), and the
+    # two passes that compute weight gradients project their products once
+    # each (2).
+    assert calls["quantize"] == 4 + 27 + 18
 
     calls.update(project_weight=0, quantize=0)
     for _ in range(100):
@@ -556,3 +746,23 @@ def test_weight_projections_per_update_and_per_act(monkeypatch):
         agent.act(state)
     assert calls["project_weight"] == 6
     assert calls["quantize"] == 6 + 100 * 6
+
+
+@pytest.mark.perf
+@pytest.mark.smoke
+def test_a_weight_broadcast_reads_the_learner_without_dropping_its_projection(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    agent = _agent("fixar-dynamic")
+    agent.update(next(_batches(1)))
+    workers = [
+        CollectorWorker.from_agent(w, agent, HopperEnv(seed=0, max_episode_steps=30), 2)
+        for w in range(2)
+    ]
+    collector = AsyncCollector(
+        workers, ReplayBuffer(100, STATE_DIM, ACTION_DIM), source_agent=agent
+    )
+    state = np.random.default_rng(5).normal(size=(STATE_DIM,))
+    calls.update(project_weight=0)
+    collector.broadcast_weights()
+    agent.act(state)
+    assert calls["project_weight"] == 0
