@@ -32,7 +32,6 @@ from .rules import (
     DeterministicOracles,
     HotPathDiscipline,
     LockDiscipline,
-    PrecisionPolicyParity,
     Rule,
     SeedingScheme,
     default_rules,
@@ -61,6 +60,5 @@ __all__ = [
     "LockDiscipline",
     "SeedingScheme",
     "ConfigCliParity",
-    "PrecisionPolicyParity",
     "HotPathDiscipline",
 ]

@@ -6,7 +6,7 @@ and :class:`~repro.rl.scheduler.DeviceAssignmentPolicy` encode scheduling
 behavior: a small class, a registry, and a resolve function.  Module rules
 (``project_scope = False``) see one parsed :class:`~repro.analysis.engine.
 SourceModule` at a time; project rules see the whole parsed set, which is
-how the parity rules compare classes that live in different files.
+how the parity rule compares classes that live in different files.
 
 Adding a rule is three steps: subclass :class:`Rule`, set ``rule_id`` /
 ``severity`` / ``description``, and decorate with :func:`register_rule`.
@@ -33,7 +33,6 @@ __all__ = [
     "LockDiscipline",
     "SeedingScheme",
     "ConfigCliParity",
-    "PrecisionPolicyParity",
     "HotPathDiscipline",
 ]
 
@@ -627,101 +626,7 @@ class ConfigCliParity(Rule):
 
 
 # --------------------------------------------------------------------- #
-# Rule 6: every PrecisionPolicy subclass is registered
-# --------------------------------------------------------------------- #
-@register_rule
-class PrecisionPolicyParity(Rule):
-    """Every concrete ``PrecisionPolicy`` subclass must be registered.
-
-    ``--precision-policy`` and :func:`~repro.rl.precision.resolve_precision`
-    look policies up in the ``PRECISION_POLICIES`` registry, which is
-    populated only by the :func:`~repro.rl.precision.register_precision_policy`
-    decorator.  A subclass someone writes but forgets to decorate is a
-    policy users cannot select — exactly the silent drift the schedule and
-    assignment registries already guard against by convention.  This rule
-    pins the convention statically: every class in ``repro/rl/`` that
-    derives (transitively, within the scanned files) from ``PrecisionPolicy``
-    must carry the ``@register_precision_policy`` decorator.
-    """
-
-    rule_id = "precision-policy-parity"
-    severity = "error"
-    description = (
-        "every PrecisionPolicy subclass in repro/rl/ must be decorated with "
-        "@register_precision_policy so --precision-policy can resolve it"
-    )
-    project_scope = True
-
-    BASE_CLASS = "PrecisionPolicy"
-    REGISTRAR = "register_precision_policy"
-    SCOPE = ("repro/rl/",)
-
-    def _scoped_classes(self, modules):
-        classes = {}
-        for module in modules:
-            if not module.in_scope(*self.SCOPE):
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    classes[node.name] = (module, node)
-        return classes
-
-    def _derives_from_base(self, name, classes, _seen=None) -> bool:
-        seen = _seen or set()
-        if name in seen:
-            return False
-        seen.add(name)
-        _module, node = classes[name]
-        for base in node.bases:
-            base_name = _dotted_name(base)
-            if base_name is None:
-                continue
-            base_name = base_name.rsplit(".", 1)[-1]
-            if base_name == self.BASE_CLASS:
-                return True
-            if base_name in classes and self._derives_from_base(
-                base_name, classes, seen
-            ):
-                return True
-        return False
-
-    def _is_registered(self, node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = _dotted_name(target)
-            if name is not None and name.rsplit(".", 1)[-1] == self.REGISTRAR:
-                return True
-        return False
-
-    def check_project(self, modules: Sequence[SourceModule]) -> List[Finding]:
-        classes = self._scoped_classes(modules)
-        if self.BASE_CLASS not in classes:
-            # A scan that does not include the precision module (e.g.
-            # linting only benchmarks/) has nothing to check.
-            return []
-        findings = []
-        for name in sorted(classes):
-            if name == self.BASE_CLASS or name.startswith("_"):
-                continue
-            module, node = classes[name]
-            if not self._derives_from_base(name, classes):
-                continue
-            if self._is_registered(node):
-                continue
-            findings.append(
-                self.finding(
-                    module.file,
-                    node.lineno,
-                    f"{name} subclasses {self.BASE_CLASS} but is not decorated "
-                    f"with @{self.REGISTRAR}; unregistered policies cannot be "
-                    "selected via --precision-policy or resolve_precision()",
-                )
-            )
-        return findings
-
-
-# --------------------------------------------------------------------- #
-# Rule 7: hot-annotated functions stay allocation-disciplined
+# Rule 6: hot-annotated functions stay allocation-disciplined
 # --------------------------------------------------------------------- #
 @register_rule
 class HotPathDiscipline(Rule):

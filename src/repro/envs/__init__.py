@@ -32,13 +32,6 @@ from .registry import (
 from .spaces import Box
 from .swimmer import SwimmerEnv
 from .vector import VectorEnv, VectorStepResult
-from .wrappers import (
-    ActionRepeat,
-    EnvironmentWrapper,
-    EpisodeStatistics,
-    ObservationNormalizer,
-    RewardScaler,
-)
 
 __all__ = [
     "Environment",
@@ -57,9 +50,4 @@ __all__ = [
     "available_benchmarks",
     "benchmark_dimensions",
     "BENCHMARK_SUITE",
-    "EnvironmentWrapper",
-    "ObservationNormalizer",
-    "ActionRepeat",
-    "RewardScaler",
-    "EpisodeStatistics",
 ]

@@ -235,7 +235,7 @@ class MLP:
         current = self._parameters()
         for name, value in params.items():
             if name not in current:
-                raise KeyError(f"unknown parameter {name!r}")
+                raise ValueError(f"unknown parameter {name!r}")
             if current[name].shape != value.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: "
@@ -274,7 +274,7 @@ class MLP:
         shapes = {name: shape for name, _start, _stop, shape in other._layout}
         for name, _start, _stop, shape in self._layout:
             if name not in shapes:
-                raise KeyError(name)
+                raise ValueError(f"the source network has no parameter {name!r}")
             if shapes[name] != shape:
                 raise ValueError(f"shape mismatch for {name!r}: {shape} vs {shapes[name]}")
         raise ValueError("the networks order their parameters differently")

@@ -88,7 +88,6 @@ from .scheduler import (
     resolve_assignment,
     resolve_policy,
 )
-from .td3 import TD3Agent, TD3Config
 from .training import (
     FleetTrainingResult,
     TrainingConfig,
@@ -109,8 +108,6 @@ from .workers import (
 __all__ = [
     "DDPGAgent",
     "DDPGConfig",
-    "TD3Agent",
-    "TD3Config",
     "UpdateMetrics",
     "save_agent",
     "load_agent_into",

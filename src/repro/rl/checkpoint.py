@@ -20,7 +20,6 @@ import numpy as np
 from ..fixedpoint import AffineQuantizer, RangeTracker
 from ..nn import MLP, DynamicFixedPointNumerics
 from .ddpg import DDPGAgent
-from .td3 import TD3Agent
 
 __all__ = [
     "save_agent",
@@ -31,6 +30,8 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+#: The one learner a checkpoint holds.
+_AGENT_CLASS = "DDPGAgent"
 
 #: Metadata keys every restore path reads.
 _REQUIRED_METADATA = (
@@ -47,16 +48,7 @@ def _network_arrays(prefix: str, network: MLP) -> Dict[str, np.ndarray]:
     return {f"{prefix}::{name}": value for name, value in network._parameters().items()}
 
 
-def _agent_networks(agent: Union[DDPGAgent, TD3Agent]) -> Dict[str, MLP]:
-    if isinstance(agent, TD3Agent):
-        return {
-            "actor": agent.actor,
-            "critic_1": agent.critic_1,
-            "critic_2": agent.critic_2,
-            "target_actor": agent.target_actor,
-            "target_critic_1": agent.target_critic_1,
-            "target_critic_2": agent.target_critic_2,
-        }
+def _agent_networks(agent: DDPGAgent) -> Dict[str, MLP]:
     return {
         "actor": agent.actor,
         "critic": agent.critic,
@@ -65,11 +57,11 @@ def _agent_networks(agent: Union[DDPGAgent, TD3Agent]) -> Dict[str, MLP]:
     }
 
 
-def checkpoint_metadata(agent: Union[DDPGAgent, TD3Agent]) -> Dict[str, object]:
+def checkpoint_metadata(agent: DDPGAgent) -> Dict[str, object]:
     """The JSON-serialisable metadata stored alongside the parameters."""
     metadata: Dict[str, object] = {
         "format_version": _FORMAT_VERSION,
-        "agent_class": type(agent).__name__,
+        "agent_class": _AGENT_CLASS,
         "state_dim": agent.state_dim,
         "action_dim": agent.action_dim,
         "update_count": agent.update_count,
@@ -111,7 +103,7 @@ def checkpoint_metadata(agent: Union[DDPGAgent, TD3Agent]) -> Dict[str, object]:
     return metadata
 
 
-def save_agent(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -> Path:
+def save_agent(agent: DDPGAgent, path: Union[str, Path]) -> Path:
     """Write an agent checkpoint to ``path`` (``.npz``)."""
     path = Path(path)
     arrays: Dict[str, np.ndarray] = {}
@@ -135,8 +127,9 @@ def read_checkpoint(
     decoded.  Raises ``ValueError`` for an archive that cannot be read (not
     a zip, truncated, a corrupt member), a missing or undecodable
     ``__metadata__``, a missing required metadata key, a ``format_version``
-    other than the one this module writes, and a ``numerics`` entry that
-    names no regime; a path that cannot be opened stays an ``OSError``.
+    other than the one this module writes, an ``agent_class`` other than
+    ``DDPGAgent``, and a ``numerics`` entry that names no regime; a path
+    that cannot be opened stays an ``OSError``.
     Whether the arrays fit an agent is :func:`restore_agent`'s check.
     """
     import zipfile  # numpy loads it on first .npz use; keep it off `import repro`
@@ -166,16 +159,20 @@ def read_checkpoint(
             f"checkpoint format_version {metadata['format_version']!r} is not "
             f"the supported version {_FORMAT_VERSION}"
         )
+    if metadata["agent_class"] != _AGENT_CLASS:
+        raise ValueError(
+            f"checkpoint holds a {metadata['agent_class']!r}, not a {_AGENT_CLASS}"
+        )
     if not isinstance(metadata["numerics"], dict) or "name" not in metadata["numerics"]:
         raise ValueError("checkpoint __metadata__ numerics names no regime")
     return metadata, arrays
 
 
-def load_agent_into(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -> Dict[str, object]:
+def load_agent_into(agent: DDPGAgent, path: Union[str, Path]) -> Dict[str, object]:
     """Restore a checkpoint into an already-constructed compatible agent.
 
-    The agent must have the same class, dimensions, and network shapes as the
-    one that was saved.  Returns the checkpoint metadata.  If the checkpoint
+    The agent must have the same dimensions and network shapes as the one
+    that was saved.  Returns the checkpoint metadata.  If the checkpoint
     was taken after the QAT precision switch, the agent's dynamic numeric
     policy is switched back into half mode with the captured range.
     """
@@ -185,7 +182,7 @@ def load_agent_into(agent: Union[DDPGAgent, TD3Agent], path: Union[str, Path]) -
 
 
 def restore_agent(
-    agent: Union[DDPGAgent, TD3Agent],
+    agent: DDPGAgent,
     metadata: Dict[str, object],
     arrays: Dict[str, np.ndarray],
 ) -> None:
@@ -197,10 +194,6 @@ def restore_agent(
     malformed ``qat`` block raises ``ValueError`` before anything is written;
     then each network is written with one ``set_parameters`` call.
     """
-    if metadata["agent_class"] != type(agent).__name__:
-        raise ValueError(
-            f"checkpoint holds a {metadata['agent_class']}, got a {type(agent).__name__}"
-        )
     if metadata["state_dim"] != agent.state_dim or metadata["action_dim"] != agent.action_dim:
         raise ValueError(
             "checkpoint dimensions "

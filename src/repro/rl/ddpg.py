@@ -36,11 +36,10 @@ __all__ = ["DDPGConfig", "DDPGAgent", "batched_policy_actions"]
 def batched_policy_actions(actor, states, noise=None) -> np.ndarray:
     """Saturated batched actor inference: forward, add noise, clip to ±1.
 
-    The one shared implementation behind ``DDPGAgent.act_batch``,
-    ``TD3Agent.act_batch``, and the collection workers'
-    :class:`~repro.rl.workers.ActorPolicy` replicas — replica inference must
-    match the learner's bit for bit, so the semantics live in exactly one
-    place.
+    The one shared implementation behind ``DDPGAgent.act_batch`` and the
+    collection workers' :class:`~repro.rl.workers.ActorPolicy` replicas —
+    replica inference must match the learner's bit for bit, so the
+    semantics live in exactly one place.
     """
     actions = actor.forward(states)
     if noise is not None:

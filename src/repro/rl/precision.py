@@ -96,14 +96,17 @@ class PrecisionPolicy:
     """Base precision policy: drives one dynamic numerics object.
 
     Subclasses implement :meth:`on_timestep`; the normalized state derives
-    from the numerics object's per-layer maps.  Register new policies with
-    :func:`register_precision_policy` so ``--precision-policy`` and
-    :func:`resolve_precision` can find them (the ``precision-policy-parity``
-    lint rule enforces this).
+    from the numerics object's per-layer maps.  Defining a subclass
+    registers it under its ``name``, so ``--precision-policy`` and
+    :func:`resolve_precision` find it with no further step.
     """
 
     #: Registry key and the ``--precision-policy`` spelling.
     name = "precision"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        register_precision_policy(cls)
 
     def __init__(self, numerics: DynamicFixedPointNumerics):
         if not isinstance(numerics, DynamicFixedPointNumerics):
@@ -157,7 +160,12 @@ PRECISION_POLICIES: Dict[str, type] = {}
 
 
 def register_precision_policy(cls: type) -> type:
-    """Class decorator adding a policy to :data:`PRECISION_POLICIES`."""
+    """Add a policy to :data:`PRECISION_POLICIES`.
+
+    Every :class:`PrecisionPolicy` subclass goes through here when it is
+    defined; :class:`~repro.rl.qat.QATController`, which is not one, is
+    registered by an explicit call.
+    """
     if not cls.name or cls.name == PrecisionPolicy.name:
         raise ValueError(f"{cls.__name__} must set a distinct policy name")
     if cls.name in PRECISION_POLICIES:
@@ -189,7 +197,6 @@ GlobalSwitchPolicy = register_precision_policy(QATController)
 # --------------------------------------------------------------------- #
 # Policy 2: static per-layer bitwidth table
 # --------------------------------------------------------------------- #
-@register_precision_policy
 class PerLayerSchedulePolicy(PrecisionPolicy):
     """A static per-layer bitwidth table, applied on per-layer delays.
 
@@ -326,7 +333,6 @@ class PerLayerSchedulePolicy(PrecisionPolicy):
 # --------------------------------------------------------------------- #
 # Policy 3: range-statistic-driven switches
 # --------------------------------------------------------------------- #
-@register_precision_policy
 class RangeDrivenPolicy(PrecisionPolicy):
     """Switches each layer once its observed range stops growing.
 

@@ -112,7 +112,7 @@ class RolloutEngine:
         ``VectorEnv``; the engine never steps scalar environments itself).
     agent:
         Any agent exposing ``act_batch(states, noise=None)`` and
-        ``action_dim`` (DDPG and TD3 both qualify).
+        ``action_dim``.
     buffer:
         Optional replay buffer receiving every transition via ``add_batch``.
     noise:

@@ -553,7 +553,7 @@ def train(
         into seeded siblings as needed) or, with one worker, a ready-made
         :class:`VectorEnv`.
     agent:
-        The DDPG (or TD3) agent to train in place.
+        The DDPG agent to train in place.
     config:
         Loop configuration.  ``total_timesteps`` rounds up to whole rounds
         of ``num_envs * num_workers`` steps (``result.total_timesteps``).

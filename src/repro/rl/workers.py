@@ -238,7 +238,7 @@ class ActorPolicy:
 
     @classmethod
     def from_agent(cls, agent, rng: Union[np.random.Generator, int, None] = None) -> "ActorPolicy":
-        """Clone an agent's actor network (DDPG and TD3 both qualify)."""
+        """Clone an agent's actor network."""
         replica = build_actor(
             agent.state_dim,
             agent.action_dim,

@@ -27,8 +27,6 @@ from ..rl import (
     ActorPolicy,
     DDPGAgent,
     DDPGConfig,
-    TD3Agent,
-    TD3Config,
     read_checkpoint,
     restore_agent,
 )
@@ -211,26 +209,13 @@ def restore_serving_agent(path: Union[str, Path]):
     numerics = make_numerics(regime, num_bits=num_bits)
     state_dim = int(metadata["state_dim"])
     action_dim = int(metadata["action_dim"])
-    agent_class = metadata["agent_class"]
-    rng = np.random.default_rng(0)  # init values are overwritten by the load
-    if agent_class == "DDPGAgent":
-        agent = DDPGAgent(
-            state_dim,
-            action_dim,
-            DDPGConfig(hidden_sizes=hidden_sizes),
-            numerics=numerics,
-            rng=rng,
-        )
-    elif agent_class == "TD3Agent":
-        agent = TD3Agent(
-            state_dim,
-            action_dim,
-            TD3Config(hidden_sizes=hidden_sizes),
-            numerics=numerics,
-            rng=rng,
-        )
-    else:
-        raise ValueError(f"checkpoint holds an unknown agent class {agent_class!r}")
+    agent = DDPGAgent(
+        state_dim,
+        action_dim,
+        DDPGConfig(hidden_sizes=hidden_sizes),
+        numerics=numerics,
+        rng=np.random.default_rng(0),  # init values are overwritten by the load
+    )
     restore_agent(agent, metadata, arrays)
     return agent, metadata
 

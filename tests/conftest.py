@@ -102,6 +102,9 @@ def checkpoints(tmp_path, rng):
         "format-version-2": resave(
             "format-version-2", __metadata__=encoded({**metadata, "format_version": 2})
         ),
+        "foreign-agent-class": resave(
+            "foreign-agent-class", __metadata__=encoded({**metadata, "agent_class": "TD3Agent"})
+        ),
         "missing-parameter": resave(
             "missing-parameter", **{"actor::0.actor_fc0.weight": None}
         ),

@@ -30,7 +30,6 @@ from repro.analysis import (
     Finding,
     HotPathDiscipline,
     LockDiscipline,
-    PrecisionPolicyParity,
     Rule,
     SeedingScheme,
     analyze,
@@ -464,93 +463,7 @@ class TestConfigCliParity:
 
 
 # --------------------------------------------------------------------- #
-# Rule 6: precision-policy-parity
-# --------------------------------------------------------------------- #
-PRECISION_FIXTURE = """\
-PRECISION_POLICIES = {}
-
-def register_precision_policy(cls):
-    PRECISION_POLICIES[cls.name] = cls
-    return cls
-
-class PrecisionPolicy:
-    name = ""
-
-@register_precision_policy
-class GlobalSwitchPolicy(PrecisionPolicy):
-    name = "global-switch"
-"""
-
-
-class TestPrecisionPolicyParity:
-    def test_quiet_when_every_subclass_is_registered(self, tmp_path):
-        _write(tmp_path, "src/repro/rl/precision.py", PRECISION_FIXTURE)
-        assert _lint(tmp_path, PrecisionPolicyParity()).findings == []
-
-    def test_fires_on_an_unregistered_subclass(self, tmp_path):
-        _write(
-            tmp_path,
-            "src/repro/rl/precision.py",
-            PRECISION_FIXTURE
-            + textwrap.dedent(
-                """\
-
-                class RogueSchedulePolicy(PrecisionPolicy):
-                    name = "rogue"
-                """
-            ),
-        )
-        report = _lint(tmp_path, PrecisionPolicyParity())
-        assert [f.rule for f in report.findings] == ["precision-policy-parity"]
-        finding = report.findings[0]
-        assert "RogueSchedulePolicy" in finding.message
-        assert "register_precision_policy" in finding.message
-
-    def test_fires_on_a_transitive_subclass_in_a_sibling_module(self, tmp_path):
-        _write(tmp_path, "src/repro/rl/precision.py", PRECISION_FIXTURE)
-        _write(
-            tmp_path,
-            "src/repro/rl/extras.py",
-            """\
-            from .precision import GlobalSwitchPolicy
-
-            class DerivedPolicy(GlobalSwitchPolicy):
-                name = "derived"
-            """,
-        )
-        report = _lint(tmp_path, PrecisionPolicyParity())
-        assert [f.rule for f in report.findings] == ["precision-policy-parity"]
-        assert report.findings[0].file.endswith("extras.py")
-
-    def test_private_helpers_and_out_of_scope_classes_are_ignored(self, tmp_path):
-        _write(
-            tmp_path,
-            "src/repro/rl/precision.py",
-            PRECISION_FIXTURE
-            + textwrap.dedent(
-                """\
-
-                class _TestOnlyPolicy(PrecisionPolicy):
-                    name = "test-only"
-                """
-            ),
-        )
-        _write(
-            tmp_path,
-            "src/repro/platform/shim.py",
-            """\
-            class PrecisionPolicy:
-                pass
-
-            class UnrelatedPolicy(PrecisionPolicy):
-                pass
-            """,
-        )
-        assert _lint(tmp_path, PrecisionPolicyParity()).findings == []
-
-
-# --------------------------------------------------------------------- #
-# Rule 7: hot-path-discipline
+# Rule 6: hot-path-discipline
 # --------------------------------------------------------------------- #
 class TestHotPathDiscipline:
     def test_fires_on_arange_dicts_and_attribute_chains(self, tmp_path):
@@ -780,14 +693,13 @@ class TestFindingsAndJson:
 # Rule registry
 # --------------------------------------------------------------------- #
 class TestRegistry:
-    def test_all_seven_rules_are_registered(self):
+    def test_all_six_rules_are_registered(self):
         assert sorted(RULES) == [
             "batch-invariant-kernels",
             "config-cli-parity",
             "deterministic-oracles",
             "hot-path-discipline",
             "lock-discipline",
-            "precision-policy-parity",
             "seeding-scheme",
         ]
 

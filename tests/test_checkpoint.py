@@ -1,5 +1,8 @@
 """Unit tests for agent checkpointing."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,6 @@ from repro.nn import make_numerics
 from repro.rl import (
     DDPGAgent,
     DDPGConfig,
-    TD3Agent,
-    TD3Config,
     checkpoint_metadata,
     load_agent_into,
     read_checkpoint,
@@ -20,6 +21,17 @@ def _ddpg(rng, regime="float32"):
     return DDPGAgent(
         6, 2, DDPGConfig(hidden_sizes=(12, 8)), numerics=make_numerics(regime), rng=rng
     )
+
+
+def _rewrite_metadata(path, **changes):
+    """Re-save the checkpoint at ``path`` with ``changes`` merged into its metadata."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    metadata = json.loads(arrays["__metadata__"].tobytes().decode("utf-8"))
+    encoded = json.dumps({**metadata, **changes}).encode("utf-8")
+    arrays["__metadata__"] = np.frombuffer(encoded, dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    return path
 
 
 class TestSaveLoadDDPG:
@@ -63,6 +75,23 @@ class TestSaveLoadDDPG:
         assert metadata["state_dim"] == 6
         assert metadata["numerics"]["name"] == "fixar-dynamic"
         assert metadata["qat"]["half_mode"] is False
+
+    def test_a_subclass_saves_as_the_ddpg_learner(self, rng, tmp_path):
+        """The format names the learner, not the Python type that held it."""
+
+        class InstrumentedAgent(DDPGAgent):
+            pass
+
+        agent = InstrumentedAgent(
+            6, 2, DDPGConfig(hidden_sizes=(12, 8)), numerics=make_numerics("float32"), rng=rng
+        )
+        path = save_agent(agent, tmp_path / "agent.npz")
+        metadata, _ = read_checkpoint(path)
+        assert metadata["agent_class"] == "DDPGAgent"
+        restored = _ddpg(np.random.default_rng(5))
+        load_agent_into(restored, path)
+        state = rng.normal(size=6)
+        np.testing.assert_array_equal(agent.act(state), restored.act(state))
 
 
 class TestQatState:
@@ -254,23 +283,16 @@ class TestPipelinedTrainingRoundtrip:
         np.testing.assert_array_equal(agent.act(state), restored.act(state))
 
 
-class TestSaveLoadTD3:
-    def test_roundtrip(self, rng, tmp_path):
-        agent = TD3Agent(6, 2, TD3Config(hidden_sizes=(12, 8)), rng=rng)
-        path = save_agent(agent, tmp_path / "td3.npz")
-        restored = TD3Agent(6, 2, TD3Config(hidden_sizes=(12, 8)), rng=np.random.default_rng(7))
-        load_agent_into(restored, path)
-        state = rng.normal(size=6)
-        np.testing.assert_allclose(agent.act(state), restored.act(state))
-
-
 class TestValidation:
-    def test_class_mismatch_rejected(self, rng, tmp_path):
-        ddpg = _ddpg(rng)
-        path = save_agent(ddpg, tmp_path / "agent.npz")
-        td3 = TD3Agent(6, 2, TD3Config(hidden_sizes=(12, 8)), rng=rng)
-        with pytest.raises(ValueError):
-            load_agent_into(td3, path)
+    def test_class_mismatch_rejected(self, checkpoints):
+        agent = DDPGAgent(
+            17, 6, DDPGConfig(hidden_sizes=(16, 12)),
+            numerics=make_numerics("fixar-dynamic"), rng=np.random.default_rng(5),
+        )
+        before = agent.actor._flat.copy()
+        with pytest.raises(ValueError, match="holds a 'TD3Agent', not a DDPGAgent"):
+            load_agent_into(agent, checkpoints["foreign-agent-class"])
+        np.testing.assert_array_equal(agent.actor._flat, before)
 
     def test_dimension_mismatch_rejected(self, rng, tmp_path):
         agent = _ddpg(rng)
@@ -318,6 +340,7 @@ class TestReadCheckpoint:
             ("metadata-not-json", "__metadata__ does not decode"),
             ("missing-key", r"__metadata__ is missing \['numerics'\]"),
             ("format-version-2", "format_version 2 is not the supported version 1"),
+            ("foreign-agent-class", "holds a 'TD3Agent', not a DDPGAgent"),
         ],
     )
     def test_unusable_checkpoints_raise_value_error(self, checkpoints, name, message):
@@ -325,6 +348,16 @@ class TestReadCheckpoint:
             read_checkpoint(checkpoints[name])
         with pytest.raises(ValueError, match=message):
             load_agent_into(_ddpg(np.random.default_rng(0)), checkpoints[name])
+
+    @pytest.mark.parametrize("agent_class", ["ddpgagent", "DDPGAgent ", "ActorPolicy", None])
+    def test_agent_class_must_be_exactly_ddpg_agent(self, rng, tmp_path, agent_class):
+        """No case folding, no stripping, no other class, no missing value."""
+        path = _rewrite_metadata(
+            save_agent(_ddpg(rng), tmp_path / "agent.npz"), agent_class=agent_class
+        )
+        message = re.escape(f"holds a {agent_class!r}, not a DDPGAgent")
+        with pytest.raises(ValueError, match=message):
+            read_checkpoint(path)
 
     @pytest.mark.parametrize(
         "name, message",

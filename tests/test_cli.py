@@ -465,8 +465,8 @@ class TestServeCheckpointErrors:
         [
             "garbage", "empty", "truncated-64", "truncated-half", "truncated-tail",
             "corrupt-member", "bare-npy", "no-metadata", "metadata-not-json",
-            "missing-key", "format-version-2", "missing-parameter", "unknown-parameter",
-            "qat-layers-not-dict", "qat-missing-half-mode",
+            "missing-key", "format-version-2", "foreign-agent-class", "missing-parameter",
+            "unknown-parameter", "qat-layers-not-dict", "qat-missing-half-mode",
         ],
     )
     def test_unusable_checkpoint_exits_2_with_one_line(self, checkpoints, name, capsys):

@@ -129,13 +129,22 @@ class TestUpdate:
 
 
 class TestNumericRegimes:
-    @pytest.mark.parametrize("regime", ["float32", "fixed32", "fixar-dynamic"])
+    @pytest.mark.parametrize("regime", ["float32", "fixed32", "fixed16", "fixar-dynamic"])
     def test_update_works_under_all_regimes(self, rng, regime):
         numerics = make_numerics(regime)
         agent = DDPGAgent(5, 2, DDPGConfig(hidden_sizes=(16, 12)), numerics=numerics, rng=rng)
         buffer = _filled_buffer(agent, rng)
         metrics = agent.update(buffer.sample(32))
         assert np.isfinite(metrics.critic_loss)
+
+    def test_update_under_dynamic_numerics_tracks_ranges(self, rng):
+        numerics = make_numerics("fixar-dynamic")
+        agent = DDPGAgent(5, 2, DDPGConfig(hidden_sizes=(16, 12)), numerics=numerics, rng=rng)
+        buffer = _filled_buffer(agent, rng)
+        assert not numerics.range_tracker.initialized
+        agent.update(buffer.sample(32))
+        assert numerics.range_tracker.initialized
+        assert {"actor_fc0", "critic_fc0"} <= set(numerics.layer_trackers)
 
     def test_fixed_point_weights_stay_on_grid(self, rng):
         numerics = make_numerics("fixed32")
@@ -158,6 +167,11 @@ class TestAccounting:
         count = agent.parameter_count()
         assert count == agent.actor.parameter_count + agent.critic.parameter_count
         assert agent.model_size_bytes(32) == count * 4
+
+    def test_half_precision_model_is_half_the_size(self, rng):
+        agent = _make_agent(rng)
+        assert agent.model_size_bytes(16) == agent.parameter_count() * 2
+        assert agent.model_size_bytes(16) * 2 == agent.model_size_bytes(32)
 
     def test_paper_model_fits_weight_memory(self, rng):
         """The full 400x300 actor+critic fit in 1.05 MB at 32-bit weights."""

@@ -8,6 +8,8 @@ checkable in CI:
   must actually import;
 * every ``python -m <module>`` in the README's shell snippets must name an
   importable module, and every repo file path a snippet runs must exist;
+* every ``examples/*.py`` script must import, and its docstring's usage
+  line must name the script's own file;
 * every ``benchmarks/reports/*.txt`` file the README references must exist
   (the benchmark harness regenerates them, so a renamed report breaks the
   table);
@@ -21,8 +23,10 @@ Run the set alone with ``pytest -m docs``.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -156,6 +160,33 @@ def test_readme_shell_snippets_reference_real_modules_and_files():
     assert scripts, "README lost its example-script quickstart lines"
     for script in scripts:
         assert (REPO_ROOT / script).is_file(), f"README references missing {script}"
+
+
+@pytest.mark.parametrize(
+    "example", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.stem
+)
+def test_every_example_imports(example):
+    """Every example's imports resolve against the package as it is now.
+
+    Loaded under a name other than ``__main__``, so its ``main()`` guard
+    keeps it from running; a public name deleted from ``repro`` but left in
+    an example fails here.
+    """
+    spec = importlib.util.spec_from_file_location(f"example_{example.stem}", example)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
+@pytest.mark.parametrize(
+    "example", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.stem
+)
+def test_every_example_docstring_runs_itself(example):
+    """Each example's usage line names the example's own file, so a renamed
+    script cannot keep telling readers to run its old name."""
+    docstring = ast.get_docstring(ast.parse(example.read_text())) or ""
+    scripts = re.findall(r"python (examples/\S+\.py)", docstring)
+    assert scripts == [f"examples/{example.name}"]
 
 
 def test_readme_report_references_exist():

@@ -66,7 +66,7 @@ class TestMLP:
 
     def test_set_parameters_validates(self, rng):
         mlp = self._simple_mlp(rng)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown parameter 'nope'"):
             mlp.set_parameters({"nope": np.zeros((1,))})
         params = mlp.parameters()
         key = next(iter(params))
@@ -109,6 +109,47 @@ class TestMLP:
         mlp = MLP([Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng)], numerics=numerics)
         mlp.forward(rng.normal(size=(5, 4)))
         assert numerics.range_tracker.initialized
+
+
+class TestParameterErrors:
+    """Every parameter set that does not fit is a ``ValueError`` naming the
+    offending parameter, never a bare ``KeyError``."""
+
+    def _mlp(self, rng, *widths):
+        widths = widths or (4, 8, 2)
+        layers = []
+        for index, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            if index:
+                layers.append(ReLU())
+            layers.append(Linear(fan_in, fan_out, rng=rng))
+        return MLP(layers)
+
+    def test_set_parameters_names_a_wrong_shape(self, rng):
+        mlp = self._mlp(rng)
+        with pytest.raises(ValueError, match=r"shape mismatch for '2\.linear\.bias'"):
+            mlp.set_parameters({"2.linear.bias": np.zeros(3)})
+
+    def test_copy_from_a_network_with_an_extra_parameter(self, rng):
+        mlp = self._mlp(rng)
+        with pytest.raises(ValueError, match=r"unknown parameter '4\.linear\.weight'"):
+            mlp.copy_from(self._mlp(rng, 4, 8, 2, 3))
+
+    def test_copy_from_a_network_of_another_shape(self, rng):
+        mlp = self._mlp(rng)
+        before = mlp._flat.copy()
+        with pytest.raises(ValueError, match=r"shape mismatch for '0\.linear\.weight'"):
+            mlp.copy_from(self._mlp(rng, 4, 6, 2))
+        np.testing.assert_array_equal(mlp._flat, before)
+
+    def test_soft_update_from_a_network_missing_a_parameter(self, rng):
+        mlp = self._mlp(rng, 4, 8, 2, 3)
+        with pytest.raises(ValueError, match=r"has no parameter '4\.linear\.weight'"):
+            mlp.soft_update_from(self._mlp(rng), tau=0.5)
+
+    def test_soft_update_from_a_network_of_another_shape(self, rng):
+        mlp = self._mlp(rng)
+        with pytest.raises(ValueError, match=r"shape mismatch for '0\.linear\.weight'"):
+            mlp.soft_update_from(self._mlp(rng, 4, 6, 2), tau=0.5)
 
 
 class TestBuilders:

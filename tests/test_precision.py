@@ -10,6 +10,8 @@ the other end of the pipe: a per-layer precision state flows through
 ``fleet_training_steps_per_second``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -69,13 +71,12 @@ def _config(steps=300, **overrides):
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
+SHIPPED_POLICIES = ["global-switch", "per-layer", "range-driven"]
+
+
 class TestRegistry:
     def test_shipped_policies_are_registered(self):
-        assert sorted(PRECISION_POLICIES) == [
-            "global-switch",
-            "per-layer",
-            "range-driven",
-        ]
+        assert sorted(PRECISION_POLICIES) == SHIPPED_POLICIES
         assert PRECISION_POLICIES["global-switch"] is GlobalSwitchPolicy
         assert PRECISION_POLICIES["per-layer"] is PerLayerSchedulePolicy
         assert PRECISION_POLICIES["range-driven"] is RangeDrivenPolicy
@@ -84,18 +85,87 @@ class TestRegistry:
         with pytest.raises(ValueError, match="global-switch"):
             resolve_precision("no-such-policy", _numerics())
 
-    def test_register_rejects_duplicates_and_default_names(self):
-        class Duplicate(PrecisionPolicy):
-            name = "global-switch"
+    def test_subclassing_registers_without_a_decorator(self):
+        with mock.patch.dict(PRECISION_POLICIES):
 
-        class Anonymous(PrecisionPolicy):
-            pass  # inherits the base name
+            class KeepFullPolicy(PrecisionPolicy):
+                name = "keep-full"
+
+                def on_timestep(self, timestep):
+                    return None
+
+            policy = resolve_precision("keep-full", _numerics())
+            assert type(policy) is KeepFullPolicy
+        assert sorted(PRECISION_POLICIES) == SHIPPED_POLICIES
+
+    def test_register_rejects_duplicates_and_default_names(self):
+        with pytest.raises(ValueError, match="duplicate"):
+
+            class Duplicate(PrecisionPolicy):
+                name = "global-switch"
+
+        with pytest.raises(ValueError, match="distinct"):
+
+            class Anonymous(PrecisionPolicy):
+                pass  # inherits the base name
 
         with pytest.raises(ValueError, match="duplicate"):
-            register_precision_policy(Duplicate)
-        with pytest.raises(ValueError, match="distinct"):
-            register_precision_policy(Anonymous)
+            register_precision_policy(QATController)
         assert PRECISION_POLICIES["global-switch"] is GlobalSwitchPolicy
+        assert sorted(PRECISION_POLICIES) == SHIPPED_POLICIES
+
+    def test_a_subclass_of_a_shipped_policy_registers_under_its_own_name(self):
+        with mock.patch.dict(PRECISION_POLICIES):
+
+            class PatientRangePolicy(RangeDrivenPolicy):
+                name = "patient-range"
+
+            assert PRECISION_POLICIES["patient-range"] is PatientRangePolicy
+            assert PRECISION_POLICIES["range-driven"] is RangeDrivenPolicy
+        assert sorted(PRECISION_POLICIES) == SHIPPED_POLICIES
+
+    def test_a_subclass_keeping_its_parents_name_is_a_duplicate(self):
+        with pytest.raises(ValueError, match="duplicate precision policy name 'per-layer'"):
+
+            class TweakedPerLayer(PerLayerSchedulePolicy):
+                pass  # inherits "per-layer"
+
+        assert PRECISION_POLICIES["per-layer"] is PerLayerSchedulePolicy
+        assert sorted(PRECISION_POLICIES) == SHIPPED_POLICIES
+
+    def test_an_empty_name_is_rejected(self):
+        with pytest.raises(ValueError, match="EmptyName must set a distinct policy name"):
+
+            class EmptyName(PrecisionPolicy):
+                name = ""
+
+        assert sorted(PRECISION_POLICIES) == SHIPPED_POLICIES
+
+    def test_training_config_accepts_a_name_registered_by_subclassing(self):
+        with mock.patch.dict(PRECISION_POLICIES):
+
+            class KeepFullPolicy(PrecisionPolicy):
+                name = "keep-full"
+
+            assert _config(precision="keep-full").precision == "keep-full"
+        with pytest.raises(ValueError, match="precision must be one of"):
+            _config(precision="keep-full")
+
+    def test_train_drives_a_policy_registered_by_subclassing(self, rng):
+        seen = []
+        with mock.patch.dict(PRECISION_POLICIES):
+
+            class RecordingPolicy(PrecisionPolicy):
+                name = "recording"
+
+                def on_timestep(self, timestep):
+                    seen.append(timestep)
+                    return None
+
+            env = HalfCheetahEnv(seed=0, max_episode_steps=30)
+            result = train(env, _small_agent(rng, env), _config(120, precision="recording"))
+        assert seen == list(range(120))
+        assert result.qat_event is None
 
     def test_policies_require_dynamic_numerics(self):
         with pytest.raises(TypeError, match="DynamicFixedPointNumerics"):

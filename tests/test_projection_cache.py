@@ -47,8 +47,6 @@ from repro.rl import (
     DDPGAgent,
     DDPGConfig,
     ReplayBuffer,
-    TD3Agent,
-    TD3Config,
     TransitionBatch,
     load_agent_into,
     save_agent,
@@ -120,9 +118,9 @@ def _actor(seed: int = 0, numerics=None) -> MLP:
     )
 
 
-def _agent(regime: str = "fixed32", seed: int = 7, cls=DDPGAgent, config=DDPGConfig):
-    return cls(
-        STATE_DIM, ACTION_DIM, config(hidden_sizes=HIDDEN),
+def _agent(regime: str = "fixed32", seed: int = 7):
+    return DDPGAgent(
+        STATE_DIM, ACTION_DIM, DDPGConfig(hidden_sizes=HIDDEN),
         numerics=make_numerics(regime), rng=np.random.default_rng(seed),
     )
 
@@ -254,11 +252,10 @@ class TestWriters:
                 replica.forward(passes[0]), agent.actor.forward(passes[0])
             )
 
-    @pytest.mark.parametrize("cls, config", [(DDPGAgent, DDPGConfig), (TD3Agent, TD3Config)])
-    def test_load_agent_into(self, passes, tmp_path, cls, config):
-        saved = _agent(seed=1, cls=cls, config=config)
+    def test_load_agent_into(self, passes, tmp_path):
+        saved = _agent(seed=1)
         path = save_agent(saved, tmp_path / "agent.npz")
-        agent = _agent(seed=2, cls=cls, config=config)
+        agent = _agent(seed=2)
         before = _warm(agent.actor, passes)
         load_agent_into(agent, path)
         _assert_followed(agent.actor, passes, before)
@@ -365,7 +362,7 @@ class TestAtomicWrites:
         before, snapshot = _warm(mlp, passes), self._snapshot(mlp)
         params = dict(other.parameters())
         params["nope"] = np.zeros(1)
-        with pytest.raises(KeyError, match="unknown parameter 'nope'"):
+        with pytest.raises(ValueError, match="unknown parameter 'nope'"):
             mlp.set_parameters(params)
         assert self._snapshot(mlp) == snapshot
         np.testing.assert_array_equal(assert_coherent(mlp, *passes), before)
@@ -386,7 +383,7 @@ class TestAtomicWrites:
         # Same leading layers, so the first names match, but no output layer.
         short = MLP(_actor(1).layers[:4], numerics=mlp.numerics)
         before, snapshot = _warm(mlp, passes), self._snapshot(mlp)
-        with pytest.raises(KeyError, match="4.actor_out.weight"):
+        with pytest.raises(ValueError, match="has no parameter '4.actor_out.weight'"):
             mlp.soft_update_from(short, 0.5)
         assert self._snapshot(mlp) == snapshot
         np.testing.assert_array_equal(assert_coherent(mlp, *passes), before)
@@ -660,10 +657,9 @@ def _learner_state(agent):
 
 
 @pytest.mark.parametrize("regime", ["fixar-dynamic", "fixed32", "fixed16", "float32"])
-@pytest.mark.parametrize("cls, config", [(DDPGAgent, DDPGConfig), (TD3Agent, TD3Config)])
-def test_fifty_updates_match_the_uncached_learner(regime, cls, config):
-    agent = _agent(regime, cls=cls, config=config)
-    twin = as_reference(_agent(regime, cls=cls, config=config))
+def test_fifty_updates_match_the_uncached_learner(regime):
+    agent = _agent(regime)
+    twin = as_reference(_agent(regime))
     consumed, expected_consumed = _record_consumed(agent), _record_consumed(twin)
     probe = np.random.default_rng(5).normal(size=(STATE_DIM,))
     for index, batch in enumerate(_batches(50)):
@@ -671,7 +667,7 @@ def test_fifty_updates_match_the_uncached_learner(regime, cls, config):
             agent.numerics.switch_to_half()
             twin.numerics.switch_to_half()
         metrics, expected = agent.update(batch), twin.update(batch)
-        np.testing.assert_equal(vars(metrics), vars(expected))  # NaN on TD3's off steps
+        np.testing.assert_equal(vars(metrics), vars(expected))
         np.testing.assert_array_equal(agent.act(probe), twin.act(probe))
     state, expected_state = _learner_state(agent), _learner_state(twin)
     assert state.keys() == expected_state.keys() and len(state) > 30

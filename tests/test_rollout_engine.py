@@ -25,8 +25,6 @@ from repro.rl import (
     QATSchedule,
     ReplayBuffer,
     RolloutEngine,
-    TD3Agent,
-    TD3Config,
     TrainingConfig,
     train,
     train_scalar_reference,
@@ -34,11 +32,11 @@ from repro.rl import (
 from dataclasses import replace
 
 
-def _agent(env, regime="float32", seed=42, cls=DDPGAgent, cfg_cls=DDPGConfig):
-    return cls(
+def _agent(env, regime="float32", seed=42):
+    return DDPGAgent(
         env.state_dim,
         env.action_dim,
-        cfg_cls(hidden_sizes=(24, 16)),
+        DDPGConfig(hidden_sizes=(24, 16)),
         numerics=make_numerics(regime),
         rng=np.random.default_rng(seed),
     )
@@ -66,8 +64,6 @@ def _assert_buffers_equal(first: ReplayBuffer, second: ReplayBuffer):
 
 def _assert_agents_equal(first, second):
     for net in ("actor", "critic", "target_actor", "target_critic"):
-        if not hasattr(first, net):
-            continue
         left, right = getattr(first, net).parameters(), getattr(second, net).parameters()
         for name, value in left.items():
             np.testing.assert_array_equal(value, right[name], err_msg=f"{net}.{name}")
@@ -150,24 +146,6 @@ class TestScalarEquivalence:
         assert reference.qat_event is not None and vectorized.qat_event is not None
         assert reference.qat_event.timestep == vectorized.qat_event.timestep
         np.testing.assert_array_equal(reference.curve.returns, vectorized.curve.returns)
-        _assert_buffers_equal(reference.replay_buffer, vectorized.replay_buffer)
-        _assert_agents_equal(reference_agent, engine_agent)
-
-    def test_equivalence_for_td3(self):
-        """The engine is algorithm-agnostic: TD3 matches its scalar run too."""
-        config = _config(total_timesteps=200)
-        env = HopperEnv(seed=5, max_episode_steps=40)
-        reference_agent = _agent(env, cls=TD3Agent, cfg_cls=TD3Config)
-        engine_agent = _agent(env, cls=TD3Agent, cfg_cls=TD3Config)
-        reference = train_scalar_reference(
-            HopperEnv(seed=5, max_episode_steps=40), reference_agent, config,
-            eval_env=HopperEnv(seed=9, max_episode_steps=40),
-        )
-        vectorized = train(
-            HopperEnv(seed=5, max_episode_steps=40), engine_agent, config,
-            eval_env=HopperEnv(seed=9, max_episode_steps=40),
-        )
-        assert reference.episode_returns == vectorized.episode_returns
         _assert_buffers_equal(reference.replay_buffer, vectorized.replay_buffer)
         _assert_agents_equal(reference_agent, engine_agent)
 
@@ -342,8 +320,15 @@ class TestGuards:
         RolloutEngine(single, _agent(single.envs[0]), noise=OrnsteinUhlenbeckNoise(single.action_dim))
 
     def test_from_template_refuses_to_strip_wrappers(self):
-        from repro.envs import ActionRepeat
+        class Wrapped:
+            """Built around an env, so only the registry can replicate it."""
 
-        wrapped = ActionRepeat(HopperEnv(seed=0, max_episode_steps=30), repeat=2)
+            def __init__(self, env):
+                self.env = env
+
+            def __getattr__(self, attribute):  # .name, .max_episode_steps
+                return getattr(self.env, attribute)
+
+        wrapped = Wrapped(HopperEnv(seed=0, max_episode_steps=30))
         with pytest.raises(ValueError, match="VectorEnv"):
             VectorEnv.from_template(wrapped, 4, seed=0)

@@ -561,6 +561,21 @@ class TestCheckpointRoundTrip:
         state = rng.normal(size=STATE_DIM)
         np.testing.assert_array_equal(agent.act(state), restored.act(state))
 
+    @pytest.mark.parametrize("regime", ["float32", "fixed32", "fixed16", "fixar-dynamic"])
+    def test_restore_rebuilds_the_saved_regime(self, rng, tmp_path, regime):
+        """One construction path serves a checkpoint of every regime."""
+        agent = _agent(rng, regime=regime)
+        path = save_agent(agent, tmp_path / f"{regime}.npz")
+        restored, _ = restore_serving_agent(path)
+        assert type(restored) is DDPGAgent
+        assert restored.numerics.describe() == agent.numerics.describe()
+        states = rng.normal(size=(4, STATE_DIM))
+        np.testing.assert_array_equal(agent.act_batch(states), restored.act_batch(states))
+
+    def test_restore_refuses_a_checkpoint_of_another_learner(self, checkpoints):
+        with pytest.raises(ValueError, match="not a DDPGAgent"):
+            restore_serving_agent(checkpoints["foreign-agent-class"])
+
     def test_mid_switch_checkpoint_serves_bit_exact_actions(self, rng, tmp_path):
         agent = self._partially_switched_agent(rng)
         path = save_agent(agent, tmp_path / "mid_switch.npz")
