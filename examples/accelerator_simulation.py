@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Drive the FPGA accelerator simulator directly.
+"""Drive the accelerator's integer datapath and its analytical models.
 
-Loads the paper's full-size actor and critic networks (400/300 hidden units)
-into the accelerator's on-chip weight memory, runs fixed-point inference
-through the AAP cores, compares it against the software network, switches
-the configurable datapath to half precision, and prints the cycle breakdown,
-throughput, utilization, resource usage, and power of a training timestep.
+Builds the paper's full-size actor and critic (400/300 hidden units) under
+32-bit fixed-point numerics, runs the actor's forward pass through the
+raw-code datapath kernel (``repro.accelerator.datapath``) and prints its
+error against the software network in LSBs, then prints the modelled
+on-chip memory footprint, the cycle breakdown, throughput and utilization
+of a training timestep, the half-precision datapath's speed-up, the
+resource usage and the power.
 
 Run:
     python examples/accelerator_simulation.py
@@ -15,78 +17,92 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accelerator import FixarAccelerator, PrecisionMode, PowerModel, ResourceModel
+from repro.accelerator import (
+    AcceleratorConfig,
+    PowerModel,
+    ResourceModel,
+    TimingModel,
+    memory_footprint_report,
+    network_forward,
+)
 from repro.core import format_table
+from repro.nn import FixedPointNumerics
 from repro.rl import DDPGAgent, DDPGConfig
 
 
 def main() -> None:
     rng = np.random.default_rng(7)
-    print("=== FIXAR accelerator simulation ===")
+    print("=== FIXAR accelerator: integer datapath and models ===")
 
     # The paper's HalfCheetah workload: 17-dim state, 6-dim action, 400/300
     # hidden units for both the actor and the critic.
-    agent = DDPGAgent(17, 6, DDPGConfig(), rng=rng)
-    accelerator = FixarAccelerator()
-    accelerator.load_agent(agent)
+    numerics = FixedPointNumerics()
+    agent = DDPGAgent(17, 6, DDPGConfig(), numerics=numerics, rng=rng)
+    actor_shapes, critic_shapes = agent.actor.layer_shapes, agent.critic.layer_shapes
+    config = AcceleratorConfig()
 
-    report = accelerator.memory_report()
-    print(f"actor layers   : {accelerator.network_shapes('actor')}")
-    print(f"critic layers  : {accelerator.network_shapes('critic')}")
-    print(f"weight memory  : {report['weight_memory_used_bytes'] / 1024:.1f} KB used "
-          f"of {accelerator.weight_memory.capacity_bytes / 1024:.1f} KB "
-          f"({100 * report['weight_memory']:.1f}%) — no external DRAM needed")
+    memory = memory_footprint_report(actor_shapes, critic_shapes, config)
+    print(f"actor layers   : {actor_shapes}")
+    print(f"critic layers  : {critic_shapes}")
+    print(f"weight memory  : {memory['weight_bytes'] / 1024:.1f} KB used "
+          f"of {memory['weight_memory_bytes'] / 1024:.1f} KB "
+          f"({100 * memory['weight_memory_utilization']:.1f}%) — no external DRAM needed")
     print()
 
-    # Functional check: the fixed-point datapath tracks the software network.
-    state = rng.normal(size=17)
+    # The integer datapath against the software network.  The host ships
+    # fixed-point states, so the state goes onto the activation grid first.
+    fmt = numerics.activation_format
+    state = fmt.quantize(rng.normal(size=17))
     software = agent.actor.forward(state)[0]
-    hardware = accelerator.infer("actor", state)
-    print("actor inference on one state (software vs accelerator fixed point):")
-    print("  software   :", np.round(software, 4))
-    print("  accelerator:", np.round(hardware, 4))
-    print(f"  max abs err: {np.max(np.abs(software - hardware)):.6f}")
-    noisy = accelerator.infer("actor", state, add_noise=True)
-    print("  with PRNG exploration noise:", np.round(noisy, 4))
+    datapath = network_forward(agent.actor, state)[0]
+    error = int(np.max(np.abs(fmt.to_raw(software) - fmt.to_raw(datapath))))
+    print("actor forward on one state (software nn vs raw-code datapath):")
+    print("  software :", np.round(software, 4))
+    print("  datapath :", np.round(datapath, 4))
+    print(f"  max error: {error} LSB of {fmt}")
     print()
 
     # Timing: one full DDPG training timestep (critic FP/BP/WU, actor
     # FP/BP/WU, actor inference) at each paper batch size.
+    timing = TimingModel(config)
     print("Training-timestep cycle counts (full precision):")
     for batch in (64, 128, 256, 512):
-        breakdown = accelerator.timestep_breakdown(batch)
-        seconds = accelerator.timestep_seconds(batch)
+        breakdown = timing.timestep_breakdown(actor_shapes, critic_shapes, batch)
+        seconds = breakdown.seconds(config.clock_hz)
+        utilization = timing.hardware_utilization(actor_shapes, critic_shapes, batch)
         print(
             f"  batch {batch:4d}: {breakdown.total_cycles:9d} cycles "
-            f"= {seconds * 1e3:6.2f} ms -> {accelerator.ips(batch):8.0f} IPS, "
-            f"utilization {100 * accelerator.utilization(batch):5.1f}%"
+            f"= {seconds * 1e3:6.2f} ms -> {batch / seconds:8.0f} IPS, "
+            f"utilization {100 * utilization:5.1f}%"
         )
     print()
 
     print("Phase breakdown at batch 256 (cycles):")
-    for phase, cycles in accelerator.timestep_breakdown(256).phases.items():
+    for phase, cycles in timing.timestep_breakdown(actor_shapes, critic_shapes, 256).phases.items():
         print(f"  {phase:24s} {cycles:9d}")
     print()
 
     # The configurable datapath: after the QAT switch the PEs process two
     # 16-bit activations per cycle.
-    full_ips = accelerator.ips(256)
-    accelerator.set_precision(PrecisionMode.HALF)
-    half_ips = accelerator.ips(256)
+    full_ips = timing.accelerator_ips(actor_shapes, critic_shapes, 256)
+    half_ips = timing.accelerator_ips(actor_shapes, critic_shapes, 256, half_precision=True)
     print(f"half-precision datapath: {full_ips:.0f} IPS -> {half_ips:.0f} IPS "
           f"({half_ips / full_ips:.2f}x) at batch 256")
     print()
 
-    resources = ResourceModel(accelerator.config)
+    resources = ResourceModel(config)
     print(format_table(resources.table(), title="Table I — modelled FPGA resource usage (Alveo U50)"))
     print()
 
-    power = PowerModel(accelerator.config)
-    breakdown = power.breakdown(utilization=accelerator.utilization(512))
-    print("Power model:")
+    # Power and efficiency of the half-precision datapath at batch 512.
+    power = PowerModel(config)
+    utilization = timing.hardware_utilization(actor_shapes, critic_shapes, 512, half_precision=True)
+    breakdown = power.breakdown(utilization=utilization)
+    print("Power model (half precision):")
     for key, value in breakdown.as_dict().items():
         print(f"  {key:18s} {value:6.2f} W")
-    print(f"  energy efficiency  {accelerator.ips(512) / breakdown.total_watts:6.1f} IPS/W at batch 512")
+    ips_512 = timing.accelerator_ips(actor_shapes, critic_shapes, 512, half_precision=True)
+    print(f"  energy efficiency  {ips_512 / breakdown.total_watts:6.1f} IPS/W at batch 512")
 
 
 if __name__ == "__main__":

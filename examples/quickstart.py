@@ -3,8 +3,8 @@
 
 Builds the full FIXAR stack for the HalfCheetah benchmark — synthetic
 environment on the "host CPU", a DDPG agent under the dynamic fixed-point
-regime, the Algorithm 1 QAT controller, the FPGA accelerator simulator, and
-the platform timing models — runs a short quantization-aware training run,
+regime, the Algorithm 1 QAT controller, and the platform timing and FPGA
+resource models — runs a short quantization-aware training run,
 and prints the learning curve, the throughput/efficiency report, and the
 Table I resource summary.
 

@@ -7,9 +7,9 @@ with stability.  This example trains a DDPG agent with Algorithm 1's QAT on
 Hopper — collecting experience through the vectorized rollout engine, which
 steps ``--num-envs`` Hopper instances in lock-step with one batched actor
 inference per step — reports the reward before and after the precision
-switch, and then offloads the trained actor to the accelerator simulator to
-compare the fixed-point policy's behaviour against the software policy in
-the live environment.
+switch, and then offloads the trained actor to the accelerator's integer
+datapath kernel to compare the fixed-point policy's behaviour against the
+software policy in the live environment.
 
 With ``--num-workers W`` experience collection fans out over W collection
 workers, each owning its own VectorEnv of ``--num-envs`` Hopper instances
@@ -34,10 +34,11 @@ import argparse
 
 import numpy as np
 
-from repro.accelerator import FixarAccelerator, PrecisionMode
+from repro.accelerator import network_forward
 from repro.core import format_curve
 from repro.envs import HopperEnv
 from repro.nn import DynamicFixedPointNumerics
+from repro.platform import FixarPlatform, WorkloadSpec
 from repro.rl import (
     DDPGAgent,
     DDPGConfig,
@@ -50,15 +51,15 @@ from repro.rl import (
 )
 
 
-def rollout_with_accelerator(env: HopperEnv, accelerator: FixarAccelerator, episodes: int = 3) -> float:
-    """Average return when actions come from the accelerator's fixed-point actor."""
+def rollout_on_datapath(env: HopperEnv, actor, episodes: int = 3) -> float:
+    """Average return when actions come from the actor on the integer datapath."""
     returns = []
     for _ in range(episodes):
         observation = env.reset()
         total = 0.0
         done = False
         while not done:
-            action = np.clip(accelerator.infer("actor", observation), -1.0, 1.0)
+            action = np.clip(network_forward(actor, observation)[0], -1.0, 1.0)
             observation, reward, done, _ = env.step(action)
             total += reward
         returns.append(total)
@@ -96,10 +97,11 @@ def main() -> None:
           f"{schedule} schedule")
 
     numerics = DynamicFixedPointNumerics(num_bits=16)
+    hidden_sizes = (64, 48)
     agent = DDPGAgent(
         env.state_dim,
         env.action_dim,
-        DDPGConfig(hidden_sizes=(64, 48), actor_learning_rate=1e-3, critic_learning_rate=1e-3),
+        DDPGConfig(hidden_sizes=hidden_sizes, actor_learning_rate=1e-3, critic_learning_rate=1e-3),
         numerics=numerics,
         rng=np.random.default_rng(args.seed),
     )
@@ -128,16 +130,18 @@ def main() -> None:
           f"(falls terminate episodes early; trained agents survive longer)")
     print()
 
-    # Offload the trained actor to the accelerator and compare in-environment
-    # behaviour of the software and fixed-point half-precision policies.
-    accelerator = FixarAccelerator()
-    accelerator.load_agent(agent)
-    accelerator.set_precision(PrecisionMode.HALF)
+    # Offload the trained actor to the integer datapath and compare the
+    # in-environment behaviour of the software and fixed-point policies; the
+    # accelerator is priced under the precision the run ended in.
+    platform = FixarPlatform(
+        WorkloadSpec(env.name, env.state_dim, env.action_dim, hidden_sizes)
+    ).with_precision_state(controller.precision_state())
     software_return = evaluate_policy(eval_env, agent, episodes=3)
-    hardware_return = rollout_with_accelerator(eval_env, accelerator, episodes=3)
+    hardware_return = rollout_on_datapath(eval_env, agent.actor, episodes=3)
     print(f"software policy return (3 episodes)      : {software_return:8.1f}")
-    print(f"accelerator fixed-point policy return    : {hardware_return:8.1f}")
-    print(f"accelerator IPS at batch 64 (half prec.) : {accelerator.ips(64):8.0f}")
+    print(f"datapath fixed-point policy return       : {hardware_return:8.1f}")
+    label = f"accelerator IPS at batch 64 ({numerics.activation_bits}-bit)"
+    print(f"{label:41s}: {platform.accelerator_ips(64):8.0f}")
 
 
 if __name__ == "__main__":

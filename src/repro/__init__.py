@@ -4,17 +4,17 @@ A pure-Python reproduction of "FIXAR: A Fixed-Point Deep Reinforcement
 Learning Platform with Quantization-Aware Training and Adaptive Parallelism"
 (DAC 2021).  The package provides:
 
-* ``repro.fixedpoint`` — Q-format fixed-point tensors, the PE's decomposed
-  multiplier, and the affine activation quantizer;
+* ``repro.fixedpoint`` — Q-format descriptors and quantizers, the PE's
+  decomposed multiplier, and the affine activation quantizer;
 * ``repro.nn`` — a minimal dense-layer library with explicit forward /
   backward passes and pluggable numeric regimes;
 * ``repro.rl`` — DDPG, replay, exploration noise, quantization-aware
   training (Algorithm 1), and the training/evaluation loops;
 * ``repro.envs`` — synthetic continuous-control benchmarks standing in for
   MuJoCo's HalfCheetah, Hopper, and Swimmer;
-* ``repro.accelerator`` — a cycle-approximate functional simulator of the
-  FPGA accelerator (AAP cores, configurable PEs, on-chip memories, timing,
-  resources, power);
+* ``repro.accelerator`` — the FPGA accelerator's raw-code datapath kernel
+  (the integer dense layer, pinned against ``repro.nn`` in LSBs) and its
+  analytical dataflow, timing, resource and power models;
 * ``repro.platform`` — end-to-end CPU-FPGA platform and CPU-GPU baseline
   models;
 * ``repro.core`` — configuration, the assembled :class:`FixarSystem`, the

@@ -1,84 +1,46 @@
-"""Cycle-approximate functional simulator of the FIXAR FPGA accelerator.
+"""The FIXAR FPGA accelerator: its integer datapath and its analytical models.
 
-Models the adaptive array processing cores (16×16 configurable PEs), the
-on-chip weight / gradient / activation memories, the column-wise dataflow
-with intra-layer and intra-batch parallelism, the Adam weight-update module,
-the exploration-noise PRNG, and the analytical resource / timing / power
-models calibrated against the paper's Alveo U50 implementation.
+The raw-code datapath kernel (:mod:`.datapath`) is the paper's dense layer
+on int64 codes — the PE's decomposed multiplier under a column-wise MVM,
+the accumulator's round-half-up rescale and the bias — pinned against
+``repro.nn`` in LSBs.  Beside it sit the analytical models calibrated
+against the paper's Alveo U50 implementation: the dataflow / tile mapping
+with intra-layer and intra-batch parallelism, the cycle-level timing model,
+and the resource and power models.
 """
 
-from .aap_core import AAPCore
-from .accelerator import FixarAccelerator, LoadedLayer
-from .accumulator import ColumnAccumulator, CrossCoreAccumulator
-from .activation_unit import ActivationFunction, ActivationUnit
-from .adam_unit import AdamUnit, AdamUnitConfig
 from .config import AcceleratorConfig
 from .dataflow import (
     ArrayGeometry,
     Parallelism,
     TileSchedule,
-    column_wise_mvm,
     inference_schedule,
-    interleave_columns,
-    partition_batch,
     training_schedule,
 )
-from .line_buffer import ActivationLineBuffer
-from .memory import (
-    ActivationMemory,
-    BRAM_BYTES,
-    GradientMemory,
-    MemoryError_,
-    OnChipMemory,
-    WeightMemory,
-)
-from .pe import PrecisionMode, ProcessingElement
+from .datapath import dense_forward, mvm, network_forward, requantize
 from .power import PowerBreakdown, PowerModel
-from .prng import GaloisLfsr32, HardwareNoiseGenerator
-from .resources import ALVEO_U50, DeviceCapacity, ResourceModel, ResourceUsage
+from .resources import ALVEO_U50, BRAM_BYTES, DeviceCapacity, ResourceModel, ResourceUsage
 from .schedule_report import (
     layer_mapping_report,
     memory_footprint_report,
     workload_mapping_report,
 )
 from .timing import CycleBreakdown, TimingModel
-from .trainer import LayerCache, OnChipTrainer, TrainingStepResult
 
 __all__ = [
     "AcceleratorConfig",
-    "FixarAccelerator",
-    "LoadedLayer",
-    "AAPCore",
-    "ProcessingElement",
-    "PrecisionMode",
-    "ActivationLineBuffer",
-    "ColumnAccumulator",
-    "CrossCoreAccumulator",
-    "ActivationFunction",
-    "ActivationUnit",
-    "AdamUnit",
-    "AdamUnitConfig",
-    "GaloisLfsr32",
-    "HardwareNoiseGenerator",
-    "OnChipMemory",
-    "WeightMemory",
-    "GradientMemory",
-    "ActivationMemory",
-    "MemoryError_",
+    "mvm",
+    "requantize",
+    "dense_forward",
+    "network_forward",
     "BRAM_BYTES",
     "ArrayGeometry",
     "Parallelism",
     "TileSchedule",
-    "column_wise_mvm",
-    "interleave_columns",
-    "partition_batch",
     "inference_schedule",
     "training_schedule",
     "TimingModel",
     "CycleBreakdown",
-    "OnChipTrainer",
-    "LayerCache",
-    "TrainingStepResult",
     "layer_mapping_report",
     "workload_mapping_report",
     "memory_footprint_report",

@@ -2,15 +2,16 @@
 
 The defaults describe the paper's Alveo U50 implementation: two adaptive
 array processing cores of 16×16 configurable PEs each, a 512-bit weight
-memory port (16 weights per cycle), and a 164 MHz clock.
+memory port (16 weights per cycle), a 164 MHz clock, and the whole model on
+chip — a 1.05 MB weight memory, an equally sized gradient memory and a
+2.94 KB activation memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .dataflow import ArrayGeometry
-from .memory import ActivationMemory, WeightMemory
 
 __all__ = ["AcceleratorConfig"]
 
@@ -31,10 +32,12 @@ class AcceleratorConfig:
     layer_overhead_cycles: int = 64
     #: Parallel lanes of the Adam weight-update module.
     adam_lanes: int = 16
-    #: Weight memory capacity in bytes (gradient memory is the same size).
-    weight_memory_bytes: int = WeightMemory.DEFAULT_CAPACITY_BYTES
-    #: Activation memory capacity in bytes.
-    activation_memory_bytes: int = ActivationMemory.DEFAULT_CAPACITY_BYTES
+    #: Weight memory capacity in bytes: the paper's 1.05 MB holds the actor
+    #: and critic parameters (the gradient memory is the same size).
+    weight_memory_bytes: int = int(1.05 * 1024 * 1024)
+    #: Activation memory capacity in bytes: the paper's 2.94 KB holds all
+    #: three layers of one network.
+    activation_memory_bytes: int = int(2.94 * 1024)
 
     def __post_init__(self) -> None:
         if self.num_cores <= 0:
@@ -75,26 +78,8 @@ class AcceleratorConfig:
 
     def with_cores(self, num_cores: int) -> "AcceleratorConfig":
         """A copy of this configuration with a different core count."""
-        return AcceleratorConfig(
-            num_cores=num_cores,
-            geometry=self.geometry,
-            clock_hz=self.clock_hz,
-            weights_per_cycle=self.weights_per_cycle,
-            layer_overhead_cycles=self.layer_overhead_cycles,
-            adam_lanes=self.adam_lanes,
-            weight_memory_bytes=self.weight_memory_bytes,
-            activation_memory_bytes=self.activation_memory_bytes,
-        )
+        return replace(self, num_cores=num_cores)
 
     def with_geometry(self, rows: int, cols: int) -> "AcceleratorConfig":
         """A copy of this configuration with a different PE-array geometry."""
-        return AcceleratorConfig(
-            num_cores=self.num_cores,
-            geometry=ArrayGeometry(rows=rows, cols=cols),
-            clock_hz=self.clock_hz,
-            weights_per_cycle=self.weights_per_cycle,
-            layer_overhead_cycles=self.layer_overhead_cycles,
-            adam_lanes=self.adam_lanes,
-            weight_memory_bytes=self.weight_memory_bytes,
-            activation_memory_bytes=self.activation_memory_bytes,
-        )
+        return replace(self, geometry=ArrayGeometry(rows=rows, cols=cols))

@@ -15,25 +15,19 @@ output.  The same mechanism serves both propagation directions:
   runs a whole MVM on its share of the batch, processing N times more
   vectors in parallel.
 
-This module holds the mapping math (tile counts, column interleaving, batch
-partitioning) plus a reference column-wise MVM used to prove the
-decomposition is exact.
+This module holds the mapping math: how many weight tiles each core
+processes and how many vectors stream through each tile.  The column-wise
+MVM itself, on raw codes, is :func:`repro.accelerator.datapath.mvm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
-
-import numpy as np
 
 __all__ = [
     "Parallelism",
     "ArrayGeometry",
-    "column_wise_mvm",
-    "interleave_columns",
-    "partition_batch",
     "TileSchedule",
     "inference_schedule",
     "training_schedule",
@@ -61,52 +55,6 @@ class ArrayGeometry:
     @property
     def pe_count(self) -> int:
         return self.rows * self.cols
-
-
-def column_wise_mvm(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Reference column-wise decomposition of ``matrix @ vector``.
-
-    Computes the MVM by explicitly scaling each matrix column by the
-    corresponding vector element and accumulating the partial-sum vectors,
-    exactly as the PE array does.  Works on both float and integer (raw
-    fixed-point) arrays.
-    """
-    matrix = np.asarray(matrix)
-    vector = np.asarray(vector).ravel()
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.shape[1] != vector.size:
-        raise ValueError(
-            f"matrix has {matrix.shape[1]} columns but vector has {vector.size} elements"
-        )
-    output = np.zeros(matrix.shape[0], dtype=np.result_type(matrix.dtype, vector.dtype))
-    for column_index in range(matrix.shape[1]):
-        output = output + matrix[:, column_index] * vector[column_index]
-    return output
-
-
-def interleave_columns(num_columns: int, num_cores: int) -> List[np.ndarray]:
-    """Round-robin assignment of matrix columns to cores (intra-layer mode).
-
-    With 4 cores, core 0 accumulates columns 0, 4, 8, … exactly as described
-    in the paper.
-    """
-    if num_columns < 0:
-        raise ValueError(f"num_columns must be non-negative, got {num_columns}")
-    if num_cores <= 0:
-        raise ValueError(f"num_cores must be positive, got {num_cores}")
-    columns = np.arange(num_columns)
-    return [columns[core::num_cores] for core in range(num_cores)]
-
-
-def partition_batch(batch_size: int, num_cores: int) -> List[np.ndarray]:
-    """Contiguous partition of batch indices across cores (intra-batch mode)."""
-    if batch_size < 0:
-        raise ValueError(f"batch_size must be non-negative, got {batch_size}")
-    if num_cores <= 0:
-        raise ValueError(f"num_cores must be positive, got {num_cores}")
-    indices = np.arange(batch_size)
-    return [np.array(chunk, dtype=np.int64) for chunk in np.array_split(indices, num_cores)]
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ from typing import Dict, List
 import numpy as np
 
 from .config import AcceleratorConfig
-from .memory import BRAM_BYTES
 
-__all__ = ["ResourceUsage", "DeviceCapacity", "ALVEO_U50", "ResourceModel"]
+__all__ = ["ResourceUsage", "DeviceCapacity", "ALVEO_U50", "ResourceModel", "BRAM_BYTES"]
+
+#: Capacity of one Xilinx BRAM36 block in bytes (36 Kbit).
+BRAM_BYTES = 36 * 1024 // 8
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 :class:`FixarSystem` wires together everything the platform needs for one
 benchmark: the environment (host CPU side), the DDPG agent under a numeric
-regime, the Algorithm 1 QAT controller, the FPGA accelerator simulator with
-the agent's networks resident in its on-chip memory, and the platform /
-baseline timing models.  On top of that it provides the experiment drivers
-used by the benchmark harness:
+regime, the run's precision driver (Algorithm 1's QAT controller unless the
+training config names another policy), and the platform / baseline timing
+models with the accelerator's resource model.  On top of that it provides
+the experiment drivers used by the benchmark harness:
 
 * :meth:`train` — run quantization-aware training and return the learning
   curve (Fig. 7);
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..accelerator import FixarAccelerator, PrecisionMode, ResourceModel
+from ..accelerator import ResourceModel
 from ..envs import make as make_env
 from ..nn import DynamicFixedPointNumerics, make_numerics
 from ..platform import (
@@ -117,7 +117,15 @@ class ThroughputReport:
 
 
 class FixarSystem:
-    """A complete FIXAR platform instance for one benchmark."""
+    """A complete FIXAR platform instance for one benchmark.
+
+    Holds the environments, the agent with its numerics and precision
+    driver, and the modelled hardware: :attr:`platform` (a
+    :class:`~repro.platform.FixarPlatform` over the configured accelerator),
+    the CPU-GPU :attr:`baseline` and the :attr:`resources` model.  The
+    accelerator appears only through these models; its integer datapath is
+    :mod:`repro.accelerator.datapath`, which needs no system.
+    """
 
     def __init__(self, config: Optional[FixarConfig] = None):
         self.config = config or FixarConfig()
@@ -148,10 +156,6 @@ class FixarSystem:
             self.config.training.precision_spec,
         )
 
-        # FPGA accelerator with the agent's networks resident on chip.
-        self.accelerator = FixarAccelerator(self.config.accelerator)
-        self.accelerator.load_agent(self.agent)
-
         # Platform timing models.
         self.workload = WorkloadSpec(
             benchmark=self.env.name,
@@ -171,9 +175,10 @@ class FixarSystem:
     ) -> TrainingResult:
         """Run quantization-aware DDPG training for this system's regime.
 
-        When the QAT switch fires, the accelerator's PE datapaths are
-        reconfigured to the half-precision mode so subsequent timing queries
-        reflect the doubled streaming rate.
+        Afterwards :attr:`platform` is the platform priced under the precision
+        driver's final state (``with_precision_state``), so timing queries
+        reflect the layers the run switched to 16 bits; the platform the run
+        started with is a separate object and is not modified.
 
         With ``config.training.devices > 1`` the run is priced on an
         :class:`~repro.platform.AcceleratorPool` built over this system's
@@ -205,11 +210,10 @@ class FixarSystem:
             platform=platform_hook,
             profiler=profiler,
         )
-        if result.qat_event is not None:
-            self.accelerator.set_precision(PrecisionMode.HALF)
-            self.platform.half_precision = True
-        # Refresh the weights resident in the accelerator memory.
-        self.accelerator.load_agent(self.agent)
+        if self.qat_controller is not None:
+            self.platform = self.platform.with_precision_state(
+                self.qat_controller.precision_state()
+            )
         return result
 
     def cosimulate(self) -> CoSimulationResult:
@@ -228,11 +232,7 @@ class FixarSystem:
             qat_controller=self.qat_controller,
             baseline=self.baseline,
         )
-        result = cosim.run()
-        if result.precision_switch_timestep is not None:
-            self.accelerator.set_precision(PrecisionMode.HALF)
-        self.accelerator.load_agent(self.agent)
-        return result
+        return cosim.run()
 
     # ------------------------------------------------------------------ #
     # Throughput and efficiency (Figs. 8–10)

@@ -1,9 +1,9 @@
 """Fixed-point numeric substrate for the FIXAR reproduction.
 
 This package models the data formats and arithmetic the FIXAR accelerator
-uses: Q-format descriptions, integer-backed fixed-point tensors, the
-processing element's decomposed multiplier, and the affine activation
-quantizer used by quantization-aware training.
+uses: Q-format descriptions with their raw-code conversions and fused
+quantizer, the processing element's decomposed multiplier, and the affine
+activation quantizer used by quantization-aware training.
 """
 
 from .qformat import (
@@ -13,7 +13,6 @@ from .qformat import (
     WEIGHT_FORMAT,
     QFormat,
 )
-from .fxp_array import FxpArray
 from .quantizer import AffineQuantizer, QuantizationError, RangeTracker
 from .arithmetic import (
     combine_halves,
@@ -21,14 +20,11 @@ from .arithmetic import (
     mac_full_precision,
     mac_half_precision,
     multiply_decomposed,
-    pack_dual_activations,
     split_halves,
-    unpack_dual_activations,
 )
 
 __all__ = [
     "QFormat",
-    "FxpArray",
     "AffineQuantizer",
     "RangeTracker",
     "QuantizationError",
@@ -42,6 +38,4 @@ __all__ = [
     "dual_multiply",
     "mac_full_precision",
     "mac_half_precision",
-    "pack_dual_activations",
-    "unpack_dual_activations",
 ]

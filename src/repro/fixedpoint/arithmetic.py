@@ -11,9 +11,10 @@ The FIXAR processing element (paper Fig. 5) supports two datapath modes:
   two independent 16-bit activations; the same two multipliers then produce
   two independent products per cycle, doubling throughput.
 
-The functions here model that decomposition exactly on integer raw codes so
-the rest of the simulator (and the tests) can check the configurable datapath
-is numerically identical to a plain wide multiply.
+The functions here model that decomposition exactly on integer raw codes.
+The accelerator's datapath kernel (:mod:`repro.accelerator.datapath`) forms
+every MVM product through :func:`multiply_decomposed`, and the tests check the
+configurable datapath is numerically identical to a plain wide multiply.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "dual_multiply",
     "mac_full_precision",
     "mac_half_precision",
-    "pack_dual_activations",
-    "unpack_dual_activations",
 ]
 
 _HALF_BITS = 16
@@ -108,29 +107,3 @@ def mac_half_precision(
     acc_a = np.asarray(accumulator_a, dtype=np.int64) + prod_a
     acc_b = np.asarray(accumulator_b, dtype=np.int64) + prod_b
     return acc_a, acc_b
-
-
-def pack_dual_activations(activation_a: np.ndarray, activation_b: np.ndarray) -> np.ndarray:
-    """Pack two 16-bit raw activations into one 32-bit memory word.
-
-    After quantization the activation memory layout does not change: each
-    32-bit word simply carries two 16-bit activations.
-    """
-    a = np.asarray(activation_a, dtype=np.int64) & _HALF_MASK
-    b = np.asarray(activation_b, dtype=np.int64) & _HALF_MASK
-    return (a << _HALF_BITS) | b
-
-
-def unpack_dual_activations(word: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unpack a 32-bit word into two signed 16-bit raw activations."""
-    word = np.asarray(word, dtype=np.int64)
-    a = (word >> _HALF_BITS) & _HALF_MASK
-    b = word & _HALF_MASK
-    return _sign_extend_16(a), _sign_extend_16(b)
-
-
-def _sign_extend_16(value: np.ndarray) -> np.ndarray:
-    """Sign-extend a 16-bit two's-complement field held in an int64."""
-    value = np.asarray(value, dtype=np.int64)
-    sign_bit = 1 << (_HALF_BITS - 1)
-    return (value ^ sign_bit) - sign_bit

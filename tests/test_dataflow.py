@@ -1,90 +1,13 @@
-"""Unit tests for the column-wise dataflow and adaptive-parallelism mappings."""
+"""Unit tests for the adaptive-parallelism tile mappings."""
 
-import numpy as np
 import pytest
 
 from repro.accelerator import (
     ArrayGeometry,
     Parallelism,
-    column_wise_mvm,
     inference_schedule,
-    interleave_columns,
-    partition_batch,
     training_schedule,
 )
-
-
-class TestColumnWiseMvm:
-    def test_matches_numpy_matmul_float(self, rng):
-        matrix = rng.normal(size=(7, 5))
-        vector = rng.normal(size=5)
-        np.testing.assert_allclose(column_wise_mvm(matrix, vector), matrix @ vector)
-
-    def test_matches_numpy_matmul_integer(self, rng):
-        matrix = rng.integers(-100, 100, size=(6, 9))
-        vector = rng.integers(-100, 100, size=9)
-        np.testing.assert_array_equal(column_wise_mvm(matrix, vector), matrix @ vector)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            column_wise_mvm(np.zeros((3, 4)), np.zeros(5))
-        with pytest.raises(ValueError):
-            column_wise_mvm(np.zeros(3), np.zeros(3))
-
-
-class TestInterleaving:
-    def test_round_robin_assignment(self):
-        groups = interleave_columns(10, 4)
-        np.testing.assert_array_equal(groups[0], [0, 4, 8])
-        np.testing.assert_array_equal(groups[1], [1, 5, 9])
-        np.testing.assert_array_equal(groups[3], [3, 7])
-
-    def test_covers_all_columns_exactly_once(self):
-        groups = interleave_columns(23, 3)
-        combined = np.sort(np.concatenate(groups))
-        np.testing.assert_array_equal(combined, np.arange(23))
-
-    def test_single_core(self):
-        groups = interleave_columns(5, 1)
-        assert len(groups) == 1
-        np.testing.assert_array_equal(groups[0], np.arange(5))
-
-    def test_interleaved_partial_mvm_sums_to_full(self, rng):
-        """Per-core partial accumulations reduce to the full MVM result."""
-        matrix = rng.integers(-50, 50, size=(8, 10))
-        vector = rng.integers(-50, 50, size=10)
-        groups = interleave_columns(10, 3)
-        partials = [matrix[:, g] @ vector[g] for g in groups]
-        np.testing.assert_array_equal(np.sum(partials, axis=0), matrix @ vector)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interleave_columns(-1, 2)
-        with pytest.raises(ValueError):
-            interleave_columns(4, 0)
-
-
-class TestBatchPartition:
-    def test_covers_batch(self):
-        chunks = partition_batch(10, 4)
-        assert sum(len(c) for c in chunks) == 10
-        combined = np.sort(np.concatenate(chunks))
-        np.testing.assert_array_equal(combined, np.arange(10))
-
-    def test_balanced_sizes(self):
-        chunks = partition_batch(10, 4)
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_cores_than_vectors(self):
-        chunks = partition_batch(2, 4)
-        assert sum(len(c) for c in chunks) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            partition_batch(-1, 2)
-        with pytest.raises(ValueError):
-            partition_batch(4, 0)
 
 
 class TestSchedules:

@@ -9,7 +9,7 @@ checkable in CI:
 * every ``python -m <module>`` in the README's shell snippets must name an
   importable module, and every repo file path a snippet runs must exist;
 * every ``examples/*.py`` script must import, and its docstring's usage
-  line must name the script's own file;
+  line must name the script's own file; the accelerator example also runs;
 * every ``benchmarks/reports/*.txt`` file the README references must exist
   (the benchmark harness regenerates them, so a renamed report breaks the
   table);
@@ -176,6 +176,20 @@ def test_every_example_imports(example):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_accelerator_example_runs(capsys):
+    """The accelerator example runs end to end: its raw-code datapath stays
+    within 1 LSB of ``nn`` and it prints the batch-256 timestep."""
+    path = REPO_ROOT / "examples" / "accelerator_simulation.py"
+    spec = importlib.util.spec_from_file_location("example_accelerator_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    output = capsys.readouterr().out
+    errors = re.findall(r"max error: (\d+) LSB", output)
+    assert len(errors) == 1 and int(errors[0]) <= 1, output
+    assert re.search(r"batch  256: +\d+ cycles = .* IPS, utilization", output), output
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.accelerator import PrecisionMode
+from repro.accelerator import network_forward
 from repro.core import FixarSystem, smoke_test_config
-from repro.platform import PAPER_BATCH_SIZES
+from repro.platform import PAPER_BATCH_SIZES, FixarPlatform
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,9 @@ class TestConstruction:
         system = FixarSystem(smoke_test_config(total_timesteps=500))
         assert system.env.name == "HalfCheetah"
         assert system.agent.state_dim == 17
-        assert system.accelerator.network_names() == ["actor", "critic"]
+        assert isinstance(system.platform, FixarPlatform)
+        assert system.platform.accelerator_config is system.config.accelerator
+        assert not system.platform.half_precision
         assert system.qat_controller is not None
         assert system.workload.actor_shapes[0][0] == 17
 
@@ -45,17 +47,37 @@ class TestTraining(object):
         system, result = trained_system
         assert result.total_timesteps == 600
         assert result.qat_event is not None
-        assert system.accelerator.precision_mode is PrecisionMode.HALF
         assert system.platform.half_precision
         assert len(result.curve.points) >= 1
         assert np.isfinite(result.curve.final_return)
 
-    def test_trained_weights_are_resident_on_accelerator(self, trained_system):
+    def test_trained_actor_runs_on_the_datapath_kernel(self, trained_system):
         system, _ = trained_system
         state = np.zeros(17)
         reference = system.agent.act(state)
-        accelerated = system.accelerator.infer("actor", state)
+        accelerated = network_forward(system.agent.actor, state)[0]
         np.testing.assert_allclose(np.clip(accelerated, -1, 1), reference, atol=0.05)
+
+    def test_per_layer_run_prices_its_own_state(self):
+        """The platform after a per-layer run prices the driver's mixed
+        state; the platform the run started with is left as it was."""
+        config = smoke_test_config(total_timesteps=300, batch_size=16, hidden_sizes=(24, 16))
+        config = config.with_training(
+            warmup_timesteps=60, evaluation_interval=300, evaluation_episodes=1,
+            precision="per-layer", precision_spec="actor=16@150,critic=32",
+        )
+        system = FixarSystem(config)
+        before = system.platform
+        system.train()
+        state = system.qat_controller.precision_state()
+        assert set(state["layers"]) == {"actor_fc0", "actor_fc1", "actor_out"}
+        assert system.platform.precision_state == state
+        assert system.platform is not before
+        assert before.half_precision is False and before.precision_state is None
+        assert system.platform.accelerator_ips(256) != before.accelerator_ips(256)
+        assert system.platform.accelerator_ips(256) != before.with_precision_state(
+            {"default": 16, "layers": {}}
+        ).accelerator_ips(256)
 
 
 class TestReports:

@@ -9,14 +9,16 @@ from repro.fixedpoint import (
     mac_full_precision,
     mac_half_precision,
     multiply_decomposed,
-    pack_dual_activations,
     split_halves,
-    unpack_dual_activations,
 )
 
 
 class TestSplitCombine:
-    @pytest.mark.parametrize("value", [0, 1, -1, 12345, -54321, 2 ** 31 - 1, -(2 ** 31)])
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, -1, 12345, -54321, 2 ** 31 - 1, -(2 ** 31),
+         0xFFFF, 0x10000, -0x10000, -0x8000],  # either side of the half boundary
+    )
     def test_roundtrip(self, value):
         upper, lower = split_halves(value)
         assert combine_halves(upper, lower) == value
@@ -34,7 +36,10 @@ class TestSplitCombine:
 class TestDecomposedMultiply:
     @pytest.mark.parametrize(
         "activation,weight",
-        [(0, 0), (1, 1), (-1, 7), (123456, -98765), (2 ** 30, 2 ** 20), (-(2 ** 30), 3)],
+        [(0, 0), (1, 1), (-1, 7), (123456, -98765), (2 ** 30, 2 ** 20), (-(2 ** 30), 3),
+         # the extremes of both 32-bit operands, and an all-ones / carry lower half
+         (2 ** 31 - 1, 2 ** 31 - 1), (-(2 ** 31), -(2 ** 31)), (-(2 ** 31), 2 ** 31 - 1),
+         (0xFFFF, -3), (0x10000, 5), (-1, -1)],
     )
     def test_equals_direct_multiply(self, activation, weight):
         assert multiply_decomposed(activation, weight) == activation * weight
@@ -73,19 +78,34 @@ class TestDualMode:
         np.testing.assert_array_equal(prod_b, activations_b * weights)
 
 
-class TestPacking:
-    @pytest.mark.parametrize("a,b", [(0, 0), (1, -1), (-32768, 32767), (1234, -4321)])
-    def test_pack_unpack_roundtrip(self, a, b):
-        word = pack_dual_activations(np.array([a]), np.array([b]))
-        out_a, out_b = unpack_dual_activations(word)
-        assert out_a[0] == a
-        assert out_b[0] == b
+class TestPeSteps:
+    """A PE holding one weight, driven a step at a time through the MACs."""
 
-    def test_memory_layout_unchanged(self, rng):
-        """Two 16-bit activations occupy exactly one 32-bit word."""
-        a = rng.integers(-(2 ** 15), 2 ** 15, size=16)
-        b = rng.integers(-(2 ** 15), 2 ** 15, size=16)
-        words = pack_dual_activations(a, b)
-        assert words.shape == (16,)
-        assert np.all(words >= 0)
-        assert np.all(words < 2 ** 32)
+    def test_full_precision_mac_sequence(self):
+        acc = mac_full_precision(0, 4, 3)
+        assert acc == 12
+        assert mac_full_precision(acc, -2, 3) == 12 - 6
+
+    def test_full_precision_with_wide_operands(self):
+        weight = 2 ** 20 + 12345
+        activation = -(2 ** 30) + 999
+        assert mac_full_precision(0, activation, weight) == weight * activation
+
+    def test_half_precision_dual_mac_sequence(self):
+        acc_a, acc_b = mac_half_precision(0, 0, 2, -3, 5)
+        assert (acc_a, acc_b) == (10, -15)
+        assert mac_half_precision(acc_a, acc_b, 1, 1, 5) == (15, -10)
+
+    def test_half_precision_continues_full_precision_accumulators(self):
+        """Switching the datapath mid-accumulation keeps what is in flight."""
+        acc = mac_full_precision(0, 10, 2)
+        acc_a, acc_b = mac_half_precision(acc, 0, 1, 1, 2)
+        assert (acc_a, acc_b) == (22, 2)
+
+    def test_dual_mac_equals_two_full_precision_macs(self, rng):
+        accumulators = rng.integers(-(2 ** 40), 2 ** 40, size=(2, 64))
+        activations = rng.integers(-(2 ** 15), 2 ** 15, size=(2, 64))
+        weights = rng.integers(-(2 ** 31), 2 ** 31, size=64)
+        acc_a, acc_b = mac_half_precision(*accumulators, *activations, weights)
+        np.testing.assert_array_equal(acc_a, mac_full_precision(accumulators[0], activations[0], weights))
+        np.testing.assert_array_equal(acc_b, mac_full_precision(accumulators[1], activations[1], weights))

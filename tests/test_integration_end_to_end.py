@@ -1,17 +1,18 @@
 """End-to-end integration tests across substrates.
 
 These exercise the paths the benchmark harness relies on: the Fig. 7 regime
-comparison at reduced scale, the agreement between the software networks and
-the accelerator's fixed-point execution after training, and the consistency
-of the platform-level reports across benchmarks.
+comparison at reduced scale, the agreement between the trained software
+networks and the accelerator's integer datapath kernel, and the consistency
+of the platform-level reports across every registered benchmark.
 """
 
 import numpy as np
 import pytest
 
-from repro.accelerator import FixarAccelerator
+from repro.accelerator import network_forward
 from repro.core import FixarSystem, smoke_test_config
-from repro.envs import make
+from repro.envs import available_benchmarks, make
+from repro.fixedpoint import ACTIVATION_FULL_FORMAT
 from repro.nn import make_numerics
 from repro.platform import FixarPlatform, WorkloadSpec
 from repro.rl import (
@@ -89,31 +90,33 @@ class TestRegimeStudy:
 
 
 class TestAcceleratorAgreement:
+    """The trained networks on the accelerator's integer datapath kernel."""
+
     def test_trained_agent_runs_identically_on_accelerator(self):
         agent, _ = _quick_train("fixed32", steps=600)
-        accelerator = FixarAccelerator()
-        accelerator.load_agent(agent)
         rng = np.random.default_rng(3)
-        states = rng.normal(size=(16, agent.state_dim))
+        states = ACTIVATION_FULL_FORMAT.quantize(rng.normal(size=(16, agent.state_dim)))
         reference = agent.act_batch(states)
-        accelerated = np.clip(accelerator.forward_batch("actor", states), -1.0, 1.0)
-        np.testing.assert_allclose(accelerated, reference, atol=2e-2)
+        accelerated = np.clip(network_forward(agent.actor, states), -1.0, 1.0)
+        lsb = ACTIVATION_FULL_FORMAT.resolution
+        np.testing.assert_allclose(accelerated, reference, rtol=0, atol=lsb)
 
     def test_critic_agreement_after_training(self):
         agent, _ = _quick_train("fixed32", steps=600)
-        accelerator = FixarAccelerator()
-        accelerator.load_agent(agent)
         rng = np.random.default_rng(4)
         states = rng.normal(size=(8, agent.state_dim))
         actions = rng.uniform(-1, 1, size=(8, agent.action_dim))
-        reference = agent.q_value(states, actions).ravel()
-        inputs = np.concatenate([states, actions], axis=1)
-        accelerated = accelerator.forward_batch("critic", inputs).ravel()
-        np.testing.assert_allclose(accelerated, reference, atol=0.05, rtol=0.05)
+        inputs = ACTIVATION_FULL_FORMAT.quantize(np.concatenate([states, actions], axis=1))
+        reference = agent.critic.forward(inputs).ravel()
+        accelerated = network_forward(agent.critic, inputs).ravel()
+        lsb = ACTIVATION_FULL_FORMAT.resolution
+        np.testing.assert_allclose(accelerated, reference, rtol=0, atol=lsb)
 
 
 class TestPlatformAcrossBenchmarks:
-    @pytest.mark.parametrize("benchmark_name", ["HalfCheetah", "Hopper", "Swimmer"])
+    @pytest.mark.parametrize(
+        "benchmark_name", [make(key).name for key in available_benchmarks()]
+    )
     def test_platform_report_consistent_for_all_benchmarks(self, benchmark_name):
         env = make(benchmark_name)
         platform = FixarPlatform(WorkloadSpec.from_environment(env))

@@ -1,123 +1,74 @@
-"""Unit tests for the on-chip memory models."""
+"""The paper's on-chip memories: their capacities and what fits in them."""
 
 import numpy as np
 import pytest
 
-from repro.accelerator import (
-    ActivationMemory,
-    BRAM_BYTES,
-    GradientMemory,
-    MemoryError_,
-    OnChipMemory,
-    WeightMemory,
-)
+from repro.accelerator import AcceleratorConfig, memory_footprint_report
+from repro.envs import available_benchmarks, benchmark_dimensions
+from repro.rl import DDPGAgent, DDPGConfig
 
-
-class TestOnChipMemory:
-    def test_row_layout(self):
-        memory = OnChipMemory("test", capacity_bytes=4096, row_bits=512, word_bits=32)
-        assert memory.words_per_row == 16
-        assert memory.total_rows == 4096 * 8 // 512
-
-    def test_invalid_layout_rejected(self):
-        with pytest.raises(ValueError):
-            OnChipMemory("bad", capacity_bytes=0)
-        with pytest.raises(ValueError):
-            OnChipMemory("bad", capacity_bytes=1024, row_bits=500, word_bits=32)
-
-    def test_allocate_and_capacity_tracking(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (64,))       # 256 bytes
-        assert memory.used_bytes == 256
-        assert memory.free_bytes == 768
-        assert 0 < memory.utilization < 1
-
-    def test_allocation_overflow_raises(self):
-        memory = OnChipMemory("test", capacity_bytes=128)
-        with pytest.raises(MemoryError_):
-            memory.allocate("too_big", (64,))  # 256 bytes > 128
-
-    def test_duplicate_segment_rejected(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (4,))
-        with pytest.raises(MemoryError_):
-            memory.allocate("a", (4,))
-
-    def test_free_releases_capacity(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (64,))
-        memory.free("a")
-        assert memory.used_bytes == 0
-        memory.allocate("a", (64,))  # can be re-allocated
-
-    def test_free_unknown_segment_raises(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        with pytest.raises(MemoryError_):
-            memory.free("missing")
-
-    def test_write_read_roundtrip(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (32,))
-        data = np.arange(32, dtype=np.int64)
-        rows = memory.write("a", data)
-        assert rows == 2  # 32 words / 16 per row
-        out = memory.read("a")
-        np.testing.assert_array_equal(out, data)
-
-    def test_partial_write_with_offset(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (32,))
-        memory.write("a", np.full(8, 7, dtype=np.int64), offset=8)
-        out = memory.read("a", count=8, offset=8)
-        assert np.all(out == 7)
-
-    def test_out_of_bounds_access_raises(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (16,))
-        with pytest.raises(MemoryError_):
-            memory.write("a", np.zeros(32, dtype=np.int64))
-        with pytest.raises(MemoryError_):
-            memory.read("a", count=32)
-
-    def test_access_counters(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (32,))
-        memory.write("a", np.zeros(32, dtype=np.int64))
-        memory.read("a")
-        assert memory.stats.writes == 1
-        assert memory.stats.reads == 1
-        assert memory.stats.written_rows == 2
-        assert memory.stats.read_rows == 2
-
-    def test_view_is_mutable(self):
-        memory = OnChipMemory("test", capacity_bytes=1024)
-        memory.allocate("a", (4,))
-        memory.view("a")[0] = 42
-        assert memory.read("a")[0] == 42
-
-    def test_bram_count(self):
-        memory = OnChipMemory("test", capacity_bytes=10 * BRAM_BYTES)
-        assert memory.bram_count() == 10
+#: Paper network shapes (input, output) per dense layer.
+ACTOR_SHAPES = [(17, 400), (400, 300), (300, 6)]
+CRITIC_SHAPES = [(23, 400), (400, 300), (300, 1)]
 
 
 class TestPaperMemories:
     def test_weight_memory_default_capacity(self):
-        assert WeightMemory().capacity_bytes == int(1.05 * 1024 * 1024)
+        assert AcceleratorConfig().weight_memory_bytes == int(1.05 * 1024 * 1024)
 
     def test_gradient_memory_matches_weight_memory(self):
-        assert GradientMemory().capacity_bytes == WeightMemory().capacity_bytes
+        """One 32-bit gradient per 32-bit weight: the gradient memory holds
+        exactly what the weight memory holds."""
+        report = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES)
+        assert report["gradient_bytes"] == report["weight_bytes"]
+        assert report["gradient_bytes"] <= AcceleratorConfig().weight_memory_bytes
 
     def test_activation_memory_default_capacity(self):
-        assert ActivationMemory().capacity_bytes == int(2.94 * 1024)
+        assert AcceleratorConfig().activation_memory_bytes == int(2.94 * 1024)
 
     def test_paper_model_fits_weight_memory(self):
         """Actor (17-400-300-6) + critic (23-400-300-1) fit at 32-bit weights."""
         actor_params = 17 * 400 + 400 + 400 * 300 + 300 + 300 * 6 + 6
         critic_params = 23 * 400 + 400 + 400 * 300 + 300 + 300 * 1 + 1
-        total_bytes = (actor_params + critic_params) * 4
-        assert total_bytes <= WeightMemory().capacity_bytes
+        report = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES)
+        assert report["weight_bytes"] == (actor_params + critic_params) * 4
+        assert report["weight_bytes"] <= AcceleratorConfig().weight_memory_bytes
+        assert report["fits_weight_memory"]
 
     def test_activation_memory_holds_all_three_layers(self):
         """400 + 300 + action activations fit in 2.94 KB at 32-bit."""
         activations = 400 + 300 + 6
-        assert activations * 4 <= ActivationMemory().capacity_bytes
+        report = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES)
+        assert report["activation_bytes"] == activations * 4
+        assert activations * 4 <= AcceleratorConfig().activation_memory_bytes
+        assert report["fits_activation_memory"]
+
+    def test_paper_model_fills_most_of_the_weight_memory(self):
+        report = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES)
+        assert 0.9 < report["weight_memory_utilization"] <= 1.0
+        assert report["weight_bytes"] > 1_000_000
+
+    def test_oversized_model_does_not_fit(self):
+        tiny = AcceleratorConfig(weight_memory_bytes=1024, activation_memory_bytes=1024)
+        report = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES, tiny)
+        assert not report["fits_weight_memory"]
+        assert not report["fits_activation_memory"]
+        assert report["weight_memory_utilization"] > 1.0
+
+    def test_sixteen_bit_weights_halve_the_footprint(self):
+        full = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES)
+        half = memory_footprint_report(ACTOR_SHAPES, CRITIC_SHAPES, bits_per_weight=16)
+        assert 2 * half["weight_bytes"] == full["weight_bytes"]
+
+
+@pytest.mark.parametrize("env_name", available_benchmarks())
+def test_registered_benchmark_networks_fit(env_name):
+    """Each registered benchmark's paper-size actor and critic fit both
+    memories at 32-bit weights."""
+    dims = benchmark_dimensions(env_name)
+    agent = DDPGAgent(dims["state_dim"], dims["action_dim"], DDPGConfig(),
+                      rng=np.random.default_rng(0))
+    shapes = agent.network_shapes()
+    report = memory_footprint_report(shapes["actor"], shapes["critic"])
+    assert report["weight_bytes"] == agent.model_size_bytes(32)
+    assert report["fits_weight_memory"] and report["fits_activation_memory"]

@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the core numeric substrates.
 
 These check the invariants the rest of the system relies on: fixed-point
-conversion error bounds, the exactness of the PE's decomposed multiplier, the
-equivalence of the column-wise dataflow with a plain matrix-vector product,
-quantizer range guarantees, and replay-buffer bookkeeping.
+conversion error bounds, the exactness of the PE's decomposed multiplier,
+the datapath MVM against a plain product under any split across cores,
+quantizer range guarantees, and replay-buffer bookkeeping.  The datapath
+kernel's differential suite against ``nn`` is ``tests/test_datapath.py``.
 """
 
 import warnings
@@ -13,16 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.accelerator import column_wise_mvm, interleave_columns, partition_batch
+from repro.accelerator import mvm
 from repro.fixedpoint import (
     AffineQuantizer,
-    FxpArray,
     QFormat,
     multiply_decomposed,
-    pack_dual_activations,
     split_halves,
     combine_halves,
-    unpack_dual_activations,
 )
 from repro.nn import make_numerics
 from repro.rl import ReplayBuffer
@@ -62,35 +60,6 @@ class TestQFormatProperties:
         assert fmt.min_value - 1e-12 <= quantized <= fmt.max_value + 1e-12
 
 
-class TestFxpArrayProperties:
-    @given(
-        values=arrays(np.float64, st.integers(1, 20), elements=st.floats(-50, 50)),
-        offsets=arrays(np.float64, st.integers(1, 20), elements=st.floats(-50, 50)),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_addition_commutes(self, values, offsets):
-        size = min(values.size, offsets.size)
-        fmt = QFormat(32, 16)
-        a = FxpArray.from_float(values[:size], fmt)
-        b = FxpArray.from_float(offsets[:size], fmt)
-        np.testing.assert_array_equal((a + b).raw, (b + a).raw)
-
-    @given(values=arrays(np.float64, st.integers(1, 20), elements=st.floats(-50, 50)))
-    @settings(max_examples=100, deadline=None)
-    def test_negation_is_involution(self, values):
-        fmt = QFormat(32, 16)
-        a = FxpArray.from_float(values, fmt)
-        np.testing.assert_array_equal((-(-a)).raw, a.raw)
-
-    @given(values=arrays(np.float64, st.integers(1, 20), elements=st.floats(-50, 50)))
-    @settings(max_examples=100, deadline=None)
-    def test_widening_requantize_is_lossless(self, values):
-        narrow = QFormat(16, 6)
-        wide = QFormat(32, 16)
-        a = FxpArray.from_float(values, narrow)
-        np.testing.assert_allclose(a.requantize(wide).to_float(), a.to_float())
-
-
 class TestDecomposedMultiplierProperties:
     @given(
         activation=st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1),
@@ -106,15 +75,46 @@ class TestDecomposedMultiplierProperties:
         upper, lower = split_halves(value)
         assert combine_halves(upper, lower) == value
 
+
+class TestDatapathProperties:
+    """The column-wise MVM of the datapath kernel against a plain product,
+    and its partial sums under any split of the work across cores."""
+
     @given(
-        a=st.integers(min_value=-(2 ** 15), max_value=2 ** 15 - 1),
-        b=st.integers(min_value=-(2 ** 15), max_value=2 ** 15 - 1),
+        rows=st.integers(1, 6),
+        fan_in=st.integers(1, 12),
+        fan_out=st.integers(1, 12),
+        seed=st.integers(0, 2 ** 16),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_pack_unpack_roundtrip(self, a, b):
-        word = pack_dual_activations(np.array([a]), np.array([b]))
-        out_a, out_b = unpack_dual_activations(word)
-        assert (out_a[0], out_b[0]) == (a, b)
+    @settings(max_examples=100, deadline=None)
+    def test_mvm_matches_matmul(self, rows, fan_in, fan_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-(2 ** 31), 2 ** 31, size=(rows, fan_in))
+        w = rng.integers(-(2 ** 24), 2 ** 24, size=(fan_in, fan_out))
+        np.testing.assert_array_equal(mvm(x, w), x @ w)
+
+    @given(fan_in=st.integers(1, 40), cores=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_fan_in_partial_sums_add_up(self, fan_in, cores, seed):
+        """Column ``q`` of the paper's ``W`` (fan-in index ``q``) on core
+        ``q mod N``: the cross-core sum of the partial MVMs is the MVM."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-(2 ** 20), 2 ** 20, size=(2, fan_in))
+        w = rng.integers(-(2 ** 20), 2 ** 20, size=(fan_in, 5))
+        partials = [mvm(x[:, core::cores], w[core::cores]) for core in range(min(cores, fan_in))]
+        np.testing.assert_array_equal(sum(partials), mvm(x, w))
+
+    @given(batch=st.integers(1, 40), cores=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_split_rows_are_independent(self, batch, cores, seed):
+        """Any contiguous split of the batch across cores gives the batch's rows."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-(2 ** 20), 2 ** 20, size=(batch, 6))
+        w = rng.integers(-(2 ** 20), 2 ** 20, size=(6, 4))
+        shares = np.array_split(np.arange(batch), cores)
+        np.testing.assert_array_equal(
+            np.vstack([mvm(x[share], w) for share in shares if share.size]), mvm(x, w)
+        )
 
 
 class TestQuantizerProperties:
@@ -271,36 +271,6 @@ class TestFusedKernelDifferential:
         with np.errstate(over="ignore"):
             once = numerics.project_gradient(np.array(values, dtype=np.float64))
             assert numerics.project_gradient(once).tobytes() == once.tobytes()
-
-
-class TestDataflowProperties:
-    @given(
-        rows=st.integers(1, 12),
-        cols=st.integers(1, 12),
-        seed=st.integers(0, 2 ** 16),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_column_wise_mvm_matches_matmul(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        matrix = rng.integers(-1000, 1000, size=(rows, cols))
-        vector = rng.integers(-1000, 1000, size=cols)
-        np.testing.assert_array_equal(column_wise_mvm(matrix, vector), matrix @ vector)
-
-    @given(columns=st.integers(0, 200), cores=st.integers(1, 8))
-    @settings(max_examples=150, deadline=None)
-    def test_interleaving_is_a_partition(self, columns, cores):
-        groups = interleave_columns(columns, cores)
-        assert len(groups) == cores
-        combined = np.sort(np.concatenate(groups)) if columns else np.array([])
-        np.testing.assert_array_equal(combined, np.arange(columns))
-
-    @given(batch=st.integers(0, 200), cores=st.integers(1, 8))
-    @settings(max_examples=150, deadline=None)
-    def test_batch_partition_is_balanced(self, batch, cores):
-        chunks = partition_batch(batch, cores)
-        sizes = [len(chunk) for chunk in chunks]
-        assert sum(sizes) == batch
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestReplayBufferProperties:

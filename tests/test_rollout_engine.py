@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.envs import HalfCheetahEnv, HopperEnv, VectorEnv
+from repro.envs import HalfCheetahEnv, HopperEnv, VectorEnv, available_benchmarks, make
 from repro.nn import make_numerics
 from repro.platform import FixarPlatform, WorkloadSpec
 from repro.rl import (
@@ -146,6 +146,26 @@ class TestScalarEquivalence:
         assert reference.qat_event is not None and vectorized.qat_event is not None
         assert reference.qat_event.timestep == vectorized.qat_event.timestep
         np.testing.assert_array_equal(reference.curve.returns, vectorized.curve.returns)
+        _assert_buffers_equal(reference.replay_buffer, vectorized.replay_buffer)
+        _assert_agents_equal(reference_agent, engine_agent)
+
+    @pytest.mark.parametrize("name", [make(key).name for key in available_benchmarks()])
+    def test_equivalence_for_every_registered_benchmark(self, name):
+        """One cell per registered benchmark: a benchmark registered later is
+        covered without being named here."""
+        config = _config(total_timesteps=160, warmup_timesteps=40, evaluation_interval=80)
+        reference_agent = _agent(make(name))
+        engine_agent = _agent(make(name))
+        reference = train_scalar_reference(
+            make(name, seed=5, max_episode_steps=40), reference_agent, config,
+            eval_env=make(name, seed=9, max_episode_steps=40),
+        )
+        vectorized = train(
+            make(name, seed=5, max_episode_steps=40), engine_agent, config,
+            eval_env=make(name, seed=9, max_episode_steps=40),
+        )
+        np.testing.assert_array_equal(reference.curve.returns, vectorized.curve.returns)
+        assert reference.episode_returns == vectorized.episode_returns
         _assert_buffers_equal(reference.replay_buffer, vectorized.replay_buffer)
         _assert_agents_equal(reference_agent, engine_agent)
 

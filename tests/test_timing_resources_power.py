@@ -1,5 +1,7 @@
 """Unit tests for the accelerator timing, resource, and power models."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro.accelerator import (
     TimingModel,
     training_schedule,
 )
+from repro.envs import available_benchmarks, benchmark_dimensions
+from repro.rl import DDPGAgent, DDPGConfig
 
 #: Paper network shapes (input, output) per dense layer.
 ACTOR_SHAPES = [(17, 400), (400, 300), (300, 6)]
@@ -39,6 +43,31 @@ class TestAcceleratorConfig:
         config = AcceleratorConfig().with_cores(4).with_geometry(8, 8)
         assert config.num_cores == 4
         assert config.pe_count == 4 * 64
+
+    @pytest.mark.parametrize(
+        "derive, changed",
+        [(lambda config: config.with_cores(5), {"num_cores": 5}),
+         (lambda config: config.with_geometry(2, 3), {"geometry": ArrayGeometry(2, 3)})],
+        ids=["with_cores", "with_geometry"],
+    )
+    def test_derived_configs_carry_every_other_field(self, derive, changed):
+        """Each helper changes its own field; every other one — the memory
+        capacities included — carries over, whatever the dataclass holds."""
+        config = AcceleratorConfig(
+            num_cores=3, geometry=ArrayGeometry(8, 4), clock_hz=100e6, weights_per_cycle=8,
+            layer_overhead_cycles=32, adam_lanes=8, weight_memory_bytes=2048,
+            activation_memory_bytes=512,
+        )
+        derived = derive(config)
+        for field in fields(AcceleratorConfig):
+            expected = changed.get(field.name, getattr(config, field.name))
+            assert getattr(derived, field.name) == expected, field.name
+
+    def test_derived_configs_are_validated(self):
+        with pytest.raises(ValueError):
+            AcceleratorConfig().with_cores(0)
+        with pytest.raises(ValueError):
+            AcceleratorConfig().with_geometry(0, 16)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -71,6 +100,13 @@ class TestTimingModel:
         full = model.forward_cycles(ACTOR_SHAPES, 512, half_precision=False)
         half = model.forward_cycles(ACTOR_SHAPES, 512, half_precision=True)
         assert half < full
+
+    def test_half_precision_raises_modelled_ips(self):
+        """The QAT switch's dual 16-bit MACs raise the paper workload's IPS."""
+        model = TimingModel()
+        full = model.accelerator_ips(ACTOR_SHAPES, CRITIC_SHAPES, 256, half_precision=False)
+        half = model.accelerator_ips(ACTOR_SHAPES, CRITIC_SHAPES, 256, half_precision=True)
+        assert half > full
 
     def test_backward_more_expensive_than_forward(self):
         model = TimingModel()
@@ -145,6 +181,26 @@ class TestTimingModel:
     def test_invalid_batch_rejected(self):
         with pytest.raises(ValueError):
             TimingModel().timestep_breakdown(ACTOR_SHAPES, CRITIC_SHAPES, 0)
+
+    def test_timestep_seconds_is_cycles_over_clock(self):
+        model = TimingModel()
+        breakdown = model.timestep_breakdown(ACTOR_SHAPES, CRITIC_SHAPES, 256)
+        assert model.timestep_seconds(ACTOR_SHAPES, CRITIC_SHAPES, 256) == pytest.approx(
+            breakdown.total_cycles / model.config.clock_hz
+        )
+
+    @pytest.mark.parametrize("env_name", available_benchmarks())
+    def test_registered_benchmark_ips(self, env_name):
+        """Each registered benchmark's paper-size networks land in the paper's
+        throughput range, and the QAT switch raises it."""
+        dims = benchmark_dimensions(env_name)
+        shapes = DDPGAgent(dims["state_dim"], dims["action_dim"], DDPGConfig(),
+                           rng=np.random.default_rng(0)).network_shapes()
+        model = TimingModel()
+        full = model.accelerator_ips(shapes["actor"], shapes["critic"], 256, half_precision=False)
+        half = model.accelerator_ips(shapes["actor"], shapes["critic"], 256, half_precision=True)
+        assert 40_000 < full < 75_000
+        assert half > full
 
 
 class TestResourceModel:
